@@ -50,9 +50,11 @@ from .channel import (
     validate_cptp,
 )
 from .ebtest import (
+    Analysis,
     EBMethod,
     EBVerdict,
     SEBClass,
+    analyze,
     classify_seb,
     closed_form_verdict,
     is_eb_numeric,

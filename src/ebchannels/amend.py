@@ -26,11 +26,12 @@ from .channel import (
     compose,
     seb_example_channel,
     unitary_channel,
+    validate_cptp,
 )
 from .ebtest import is_eb_numeric, pt_margin
 from .errors import InvalidParameter, NonPositiveOutput, NotCP
 from .linalg import hermitian_eigenvalues, partial_transpose
-from .tolerances import AMEND_TOL, CP_TOL, EB_BOUNDARY_TOL, OUTPUT_PSD_TOL
+from .tolerances import AMEND_TOL, EB_BOUNDARY_TOL, OUTPUT_PSD_TOL
 
 __all__ = [
     "UnitarySample",
@@ -129,6 +130,8 @@ def local_amendment_search(
         raise InvalidParameter(f"n_layers must be at least 2, got {n_layers}")
     if trials < 1:
         raise InvalidParameter(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be nonnegative, got {seed}")
     base_verdict = is_eb_numeric(base)  # raises NotCP for non-CP input
 
     rng = np.random.default_rng(seed)
@@ -229,9 +232,12 @@ def global_amendment_example(
     """
     if global_map.d != 4:
         raise InvalidParameter("global amendment needs a d = 4 map")
-    choi_min = float(hermitian_eigenvalues(choi(base))[0])
-    if choi_min < -CP_TOL:
-        raise NotCP(f"base channel is not CP: min Choi eigenvalue {choi_min:.3e}")
+    report = validate_cptp(base)
+    if not report.is_cp:
+        raise NotCP(
+            f"base channel is not CP: min Choi eigenvalue {report.min_choi_eig:.3e}",
+            min_eig=report.min_choi_eig,
+        )
 
     x = basis.coherence_from_state(choi(base), 4, ordering)
     mapped = basis.state_from_coherence(

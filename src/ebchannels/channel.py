@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis
-from .errors import BadAxis, DimensionMismatch
-from .linalg import hermitian_eigenvalues, kron, partial_transpose, svd3
-from .tolerances import AXIS_NORM_TOL, CP_TOL, STATE_TOL
+from .errors import BadAxis, DimensionMismatch, InvalidParameter
+from .linalg import hermitian_eigenvalues, kron, svd3
+from .tolerances import AXIS_NORM_TOL, CP_TOL
 
 __all__ = [
     "QubitChannelAffine",
@@ -64,7 +64,7 @@ class QubitChannelAffine:
         n = np.array(self.n, dtype=float).reshape(3)
         M = np.array(self.M, dtype=float).reshape(3, 3)
         if not (np.isfinite(n).all() and np.isfinite(M).all()):
-            raise ValueError("channel parameters must be finite")
+            raise InvalidParameter("channel parameters must be finite")
         n.flags.writeable = False
         M.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -122,20 +122,27 @@ def singlet_state() -> np.ndarray:
     return out / 4.0
 
 
+def _choi(n: np.ndarray, M: np.ndarray) -> np.ndarray:
+    return 0.25 * (_I4 + np.tensordot(n, _PI, axes=1) - np.tensordot(M, _PP, axes=2))
+
+
 def choi(phi: QubitChannelAffine) -> np.ndarray:
     """Image of the singlet under (phi x identity).
 
     Hermitian with unit trace for any affine input; positive semidefinite
     exactly when the map is completely positive.
     """
-    return 0.25 * (
-        _I4 + np.tensordot(phi.n, _PI, axes=1) - np.tensordot(phi.M, _PP, axes=2)
-    )
+    return _choi(phi.n, phi.M)
 
 
 def choi_partial_transpose(phi: QubitChannelAffine) -> np.ndarray:
-    """Partial transpose (second factor) of the Choi state."""
-    return partial_transpose(choi(phi), 2, 2)
+    """Partial transpose (second factor) of the Choi state.
+
+    Transposing the second factor negates its sigma_y and fixes sigma_x
+    and sigma_z, so this is `choi` with M's y column negated, equal entry
+    for entry to `partial_transpose(choi(phi), 2, 2)`.
+    """
+    return _choi(phi.n, phi.M * (1.0, -1.0, 1.0))
 
 
 def validate_cptp(phi: QubitChannelAffine) -> CPTPReport:
@@ -201,7 +208,7 @@ class QuditAffineMap:
         n = np.array(self.n, dtype=float).reshape(size)
         M = np.array(self.M, dtype=float).reshape(size, size)
         if not (np.isfinite(n).all() and np.isfinite(M).all()):
-            raise ValueError("map parameters must be finite")
+            raise InvalidParameter("map parameters must be finite")
         n.flags.writeable = False
         M.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -230,20 +237,3 @@ def apply_qudit_map(
         )
     x = basis.coherence_from_state(rho, qmap.d, ordering)
     return basis.state_from_coherence(qmap.n + qmap.M @ x, qmap.d, ordering)
-
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (convenience wrapper)."""
-    return float(hermitian_eigenvalues(m)[0])
-
-
-def is_valid_state(rho: np.ndarray, tol: float = STATE_TOL) -> bool:
-    """Hermitian, unit-trace and positive semidefinite within tol."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if np.abs(rho - rho.conj().T).max() > tol:
-        return False
-    if abs(np.trace(rho) - 1.0) > tol:
-        return False
-    return min_eigenvalue(rho) >= -tol

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success (verdicts are data, never errors), 1 parse or
 configuration error, 2 channel not completely positive or an invalid
-state produced, 3 output path not writable.
+state produced, 3 output path not writable.  Library errors are mapped
+to codes 1 and 2 in `main` alone.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ import numpy as np
 from . import amend, markov
 from .channel import (
     QubitChannelAffine,
-    canonical_form,
     depolarizing_channel,
     identity_channel,
     seb_example_channel,
-    validate_cptp,
 )
-from .ebtest import classify_seb, closed_form_verdict, is_eb_numeric
+from .ebtest import analyze
 from .errors import EBChannelsError, NotCP
 
 __all__ = ["main"]
@@ -127,18 +126,22 @@ def _channel_dict(phi: QubitChannelAffine) -> dict:
     return {"n": phi.n.tolist(), "M": phi.M.tolist()}
 
 
+def _write(text: str, path: str) -> int:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_UNWRITABLE
+    return EXIT_OK
+
+
 def _emit(payload: dict, path: str | None) -> int:
     text = json.dumps(payload, indent=2)
     if path is None:
         print(text)
         return EXIT_OK
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return EXIT_UNWRITABLE
-    return EXIT_OK
+    return _write(text + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -147,39 +150,30 @@ def _emit(payload: dict, path: str | None) -> int:
 
 
 def cmd_analyze(args) -> int:
+    phi = _resolve_channel(args)
     try:
-        phi = _resolve_channel(args)
-    except ChannelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    report = validate_cptp(phi)
-    if not report.is_cp:
-        print(
-            json.dumps(
-                {
-                    "channel": _channel_dict(phi),
-                    "cptp": {"is_cp": False, "min_choi_eig": report.min_choi_eig},
-                    "error": "channel is not completely positive",
-                },
-                indent=2,
-            )
-        )
+        result = analyze(phi)
+    except NotCP as exc:
+        # a non-CP channel is still reported on stdout, with its own exit code
+        payload = {
+            "channel": _channel_dict(phi),
+            "cptp": {"is_cp": False, "min_choi_eig": exc.min_eig},
+            "error": "channel is not completely positive",
+        }
+        print(json.dumps(payload, indent=2))
         return EXIT_NOT_CP
 
-    verdict = is_eb_numeric(phi)
-    canon = canonical_form(phi)
-    method, cf_is_eb = closed_form_verdict(phi)
+    verdict, canon = result.verdict, result.canonical
     closed_form = None
-    if method is not None:
+    if result.closed_form_method is not None:
         closed_form = {
-            "method": method.value,
-            "is_eb": cf_is_eb,
-            "agrees_with_numeric": cf_is_eb == verdict.is_eb,
+            "method": result.closed_form_method.value,
+            "is_eb": result.closed_form_is_eb,
+            "agrees_with_numeric": result.closed_form_is_eb == verdict.is_eb,
         }
     payload = {
         "channel": _channel_dict(phi),
-        "cptp": {"is_cp": True, "min_choi_eig": report.min_choi_eig},
+        "cptp": {"is_cp": True, "min_choi_eig": verdict.choi_min_eig},
         "canonical": {"lambda": canon.lam.tolist(), "n": canon.n.tolist()},
         "verdict": {
             "is_eb": verdict.is_eb,
@@ -187,7 +181,7 @@ def cmd_analyze(args) -> int:
             "choi_min_eig": verdict.choi_min_eig,
             "method": verdict.method.value,
         },
-        "seb_class": classify_seb(phi).value,
+        "seb_class": result.seb_class.value,
         "closed_form": closed_form,
     }
     print(json.dumps(payload, indent=2))
@@ -208,24 +202,15 @@ def _build_family(args) -> markov.DynamicalFamily:
 
 
 def cmd_markov(args) -> int:
-    try:
-        family = _build_family(args)
-        result = markov.scan(family, args.t_min, args.t_max, args.steps)
-    except (EBChannelsError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    family = _build_family(args)
+    result = markov.scan(family, args.t_min, args.t_max, args.steps)
     if args.format == "csv":
         text = markov.scan_to_csv(result)
     else:
         text = json.dumps(markov.scan_to_dict(result), indent=2) + "\n"
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return EXIT_UNWRITABLE
-
+    code = _write(text, args.output)
+    if code != EXIT_OK:
+        return code
     onset = markov.eb_onset(family, args.t_max)
     print(f"onset: {'none' if onset is None else format(onset, '.17g')}")
     return EXIT_OK
@@ -258,21 +243,9 @@ def amendment_report_dict(report: amend.AmendmentReport) -> dict:
 
 
 def cmd_amend_local(args) -> int:
-    try:
-        phi = _resolve_channel(args)
-    except ChannelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        report = amend.local_amendment_search(
-            phi, n_layers=args.layers, trials=args.trials, seed=args.seed
-        )
-    except NotCP as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CP
-    except EBChannelsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    report = amend.local_amendment_search(
+        _resolve_channel(args), n_layers=args.layers, trials=args.trials, seed=args.seed
+    )
     return _emit(amendment_report_dict(report), args.output)
 
 
@@ -328,12 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ebchan",
         description="Entanglement-breaking analysis of qubit channels.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; the current implementation is single-threaded",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="analyze a single channel")
@@ -384,7 +351,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits with code 2 on bad flags; map to the parse-error code
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EBChannelsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CP if isinstance(exc, NotCP) else EXIT_PARSE
 
 
 if __name__ == "__main__":

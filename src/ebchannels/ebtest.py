@@ -16,19 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    CanonicalDecomposition,
     QubitChannelAffine,
     canonical_form,
-    choi,
     choi_partial_transpose,
+    validate_cptp,
 )
 from .errors import NotCP, PreconditionViolated
 from .linalg import hermitian_eigenvalues
-from .tolerances import CLOSED_FORM_TOL, CP_TOL, EB_BOUNDARY_TOL, RANK_TOL
+from .tolerances import CLOSED_FORM_TOL, EB_BOUNDARY_TOL, RANK_TOL
 
 __all__ = [
     "EBMethod",
     "EBVerdict",
     "SEBClass",
+    "Analysis",
+    "analyze",
     "pt_margin",
     "is_eb_numeric",
     "unital_spectra",
@@ -86,14 +89,17 @@ def pt_margin(phi: QubitChannelAffine) -> float:
 
 def is_eb_numeric(phi: QubitChannelAffine) -> EBVerdict:
     """Numeric PPT verdict.  Raises NotCP for non-CP input."""
-    choi_min = float(hermitian_eigenvalues(choi(phi))[0])
-    if choi_min < -CP_TOL:
-        raise NotCP(f"channel is not CP: min Choi eigenvalue {choi_min:.3e}")
+    report = validate_cptp(phi)
+    if not report.is_cp:
+        raise NotCP(
+            f"channel is not CP: min Choi eigenvalue {report.min_choi_eig:.3e}",
+            min_eig=report.min_choi_eig,
+        )
     margin = pt_margin(phi)
     return EBVerdict(
         is_eb=margin >= -EB_BOUNDARY_TOL,
         margin=margin,
-        choi_min_eig=choi_min,
+        choi_min_eig=report.min_choi_eig,
         method=EBMethod.NUMERIC_PPT,
     )
 
@@ -231,17 +237,7 @@ def uniaxial_verdict(phi: QubitChannelAffine, axis: int) -> bool:
     return uniaxial_eb_condition(canon.lam, float(canon.n[axis]), axis)
 
 
-def closed_form_verdict(
-    phi: QubitChannelAffine,
-) -> tuple[EBMethod | None, bool | None]:
-    """Apply the sharpest applicable closed-form criterion, if any.
-
-    Works on the canonical decomposition: unital channels use the
-    singular-value sum, rank-deficient channels are EB outright, and a
-    translation confined to one canonical axis uses the single-axis
-    criterion.  Returns (None, None) when no closed form applies.
-    """
-    canon = canonical_form(phi)
+def _closed_form(canon: CanonicalDecomposition) -> tuple[EBMethod | None, bool | None]:
     nonzero_axes = [i for i in range(3) if abs(canon.n[i]) > _AXIS_ZERO_TOL]
     if not nonzero_axes:
         return EBMethod.UNITAL_CLOSED_FORM, unital_eb_condition(canon.lam)
@@ -256,18 +252,52 @@ def closed_form_verdict(
     return None, None
 
 
-def classify_seb(phi: QubitChannelAffine) -> SEBClass:
-    """Classify a channel's entanglement-breaking strength.
+def closed_form_verdict(
+    phi: QubitChannelAffine,
+) -> tuple[EBMethod | None, bool | None]:
+    """Apply the sharpest applicable closed-form criterion, if any.
 
-    Rank deficiency of the Bloch contraction is sufficient for the strong
+    Works on the canonical decomposition: unital channels use the
+    singular-value sum, rank-deficient channels are EB outright, and a
+    translation confined to one canonical axis uses the single-axis
+    criterion.  Returns (None, None) when no closed form applies.  Does
+    not check complete positivity.
+    """
+    return _closed_form(canonical_form(phi))
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Everything `ebchan analyze` reports, from one pass over a CP channel."""
+
+    verdict: EBVerdict
+    canonical: CanonicalDecomposition
+    closed_form_method: EBMethod | None
+    closed_form_is_eb: bool | None
+    seb_class: SEBClass
+
+
+def analyze(phi: QubitChannelAffine) -> Analysis:
+    """Numeric verdict, canonical form, closed form and strength class.
+
+    Two eigensolves (Choi and partial transpose) and one SVD.  Rank
+    deficiency of the Bloch contraction is sufficient for the strong EB
     class (interleaving unitaries cannot raise the rank of a product),
     but not necessary, so full-rank EB channels land in the
     unknown-amendability bucket.  Raises NotCP for non-CP input.
     """
     verdict = is_eb_numeric(phi)
-    if not verdict.is_eb:
-        return SEBClass.NOT_EB
     canon = canonical_form(phi)
-    if float(np.min(np.abs(canon.lam))) <= RANK_TOL:
-        return SEBClass.SEB_RANK_DEFICIENT
-    return SEBClass.EB_UNKNOWN_AMENDABILITY
+    method, cf_is_eb = _closed_form(canon)
+    if not verdict.is_eb:
+        seb_class = SEBClass.NOT_EB
+    elif float(np.min(np.abs(canon.lam))) <= RANK_TOL:
+        seb_class = SEBClass.SEB_RANK_DEFICIENT
+    else:
+        seb_class = SEBClass.EB_UNKNOWN_AMENDABILITY
+    return Analysis(verdict, canon, method, cf_is_eb, seb_class)
+
+
+def classify_seb(phi: QubitChannelAffine) -> SEBClass:
+    """Strength class of `analyze`.  Raises NotCP for non-CP input."""
+    return analyze(phi).seb_class

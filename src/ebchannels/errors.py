@@ -28,6 +28,10 @@ class BadAxis(EBChannelsError):
 class NotCP(EBChannelsError):
     """Channel is not completely positive (Choi matrix has a negative eigenvalue)."""
 
+    def __init__(self, message: str, min_eig: float):
+        super().__init__(message)
+        self.min_eig = min_eig
+
 
 class PreconditionViolated(EBChannelsError):
     """A closed-form criterion was invoked outside its domain of validity."""

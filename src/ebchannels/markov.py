@@ -83,6 +83,8 @@ DynamicalFamily = Decoherence | Depolarization | Homogenization
 
 
 def _rotation_block(damping: float, angle: float) -> np.ndarray:
+    if not math.isfinite(angle):
+        raise InvalidParameter(f"rotation angle omega * t = {angle} is not finite")
     c = damping * math.cos(angle)
     s = damping * math.sin(angle)
     return np.array([[c, s], [-s, c]])
@@ -225,6 +227,8 @@ def scan(
         raise InvalidParameter(f"steps must be at least 2, got {steps}")
     if not t_min < t_max:
         raise InvalidParameter(f"need t_min < t_max, got [{t_min}, {t_max}]")
+    if not math.isfinite(t_max):
+        raise InvalidParameter(f"t_max must be finite, got {t_max}")
     if t_min < 0.0:
         raise NegativeTime(f"t_min must be nonnegative, got {t_min}")
     times = np.linspace(t_min, t_max, steps)
@@ -254,34 +258,30 @@ def scan(
     return TimeScan(family=family, times=times, rows=rows)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+# published scan columns, shared by the CSV and JSON writers; the last
+# four appear for the homogenization family only
+_COLUMNS = ("t", "lam1", "lam2", "lam3", "margin", "is_eb", "f1", "f2", "f", "cf_eb")
+
+
+def _table(result: TimeScan) -> tuple[tuple[str, ...], list[tuple]]:
+    names = _COLUMNS if isinstance(result.family, Homogenization) else _COLUMNS[:6]
+    rows = [
+        (r.t, *r.lam, r.margin, r.is_eb, r.f1, r.f2, r.f, r.cf_eb)[: len(names)]
+        for r in result.rows
+    ]
+    return names, rows
+
+
+def _cell(value: float | bool) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format(value, ".17g")
 
 
 def scan_to_csv(result: TimeScan) -> str:
     """Render a scan in the published CSV row format (17 significant digits)."""
-    homog = isinstance(result.family, Homogenization)
-    header = "t,lam1,lam2,lam3,margin,is_eb"
-    if homog:
-        header += ",f1,f2,f,cf_eb"
-    lines = [header]
-    for row in result.rows:
-        cells = [
-            _fmt(row.t),
-            _fmt(row.lam[0]),
-            _fmt(row.lam[1]),
-            _fmt(row.lam[2]),
-            _fmt(row.margin),
-            "true" if row.is_eb else "false",
-        ]
-        if homog:
-            cells += [
-                _fmt(row.f1),
-                _fmt(row.f2),
-                _fmt(row.f),
-                "true" if row.cf_eb else "false",
-            ]
-        lines.append(",".join(cells))
+    names, rows = _table(result)
+    lines = [",".join(names)] + [",".join(map(_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -301,18 +301,8 @@ def _family_dict(family: DynamicalFamily) -> dict:
 
 def scan_to_dict(result: TimeScan) -> dict:
     """JSON-ready representation of a scan."""
-    homog = isinstance(result.family, Homogenization)
-    rows = []
-    for row in result.rows:
-        d = {
-            "t": row.t,
-            "lam1": row.lam[0],
-            "lam2": row.lam[1],
-            "lam3": row.lam[2],
-            "margin": row.margin,
-            "is_eb": row.is_eb,
-        }
-        if homog:
-            d.update(f1=row.f1, f2=row.f2, f=row.f, cf_eb=row.cf_eb)
-        rows.append(d)
-    return {**_family_dict(result.family), "rows": rows}
+    names, rows = _table(result)
+    return {
+        **_family_dict(result.family),
+        "rows": [dict(zip(names, row)) for row in rows],
+    }

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from ebchannels import (
+    Decoherence,
+    Depolarization,
+    Homogenization,
     QubitChannelAffine,
     QuditAffineMap,
     apply_channel,
     apply_qudit_map,
     canonical_form,
+    channel_at,
     choi,
+    choi_partial_transpose,
     compose,
     depolarizing_channel,
     diagonal_channel,
@@ -19,8 +24,8 @@ from ebchannels import (
     unitary_channel,
     validate_cptp,
 )
-from ebchannels.errors import BadAxis, DimensionMismatch
-from ebchannels.linalg import hermitian_eigenvalues
+from ebchannels.errors import BadAxis, DimensionMismatch, InvalidParameter
+from ebchannels.linalg import hermitian_eigenvalues, partial_transpose
 from helpers import (
     apply_to_first_factor,
     random_cptp_channel,
@@ -206,3 +211,28 @@ def test_seb_example_channel_values():
     assert np.allclose(phi.M, np.diag([0.0, -0.5, 0.5]))
     assert np.allclose(phi.n, 0.0)
     assert validate_cptp(phi).is_cp
+
+
+def test_choi_partial_transpose_equals_generic_partial_transpose():
+    rng = np.random.default_rng(61)
+    channels = [
+        QubitChannelAffine(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, (3, 3)))
+        for _ in range(300)
+    ]
+    for family in (
+        Decoherence(T=1.0, omega=5.0),
+        Depolarization(T=1.0),
+        Homogenization(T1=1.0, T2=1.3, w=0.5, omega=2.0),
+    ):
+        channels += [channel_at(family, float(t)) for t in np.linspace(0.0, 50.0, 101)]
+    for phi in channels:
+        generic = partial_transpose(choi(phi), 2, 2)
+        assert np.array_equal(choi_partial_transpose(phi), generic)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_rejected(bad):
+    with pytest.raises(InvalidParameter):
+        QubitChannelAffine([0.0, 0.0, bad], np.eye(3))
+    with pytest.raises(InvalidParameter):
+        QuditAffineMap(2, np.zeros(3), np.diag([1.0, bad, 1.0]))

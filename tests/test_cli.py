@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from ebchannels.cli import main
 
@@ -16,6 +17,12 @@ def write_channel(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _assert_one_error_line(err):
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_analyze_identity_preset(capsys):
@@ -189,6 +196,19 @@ def test_markov_bad_config(tmp_path, capsys):
     assert "positive" in err
 
 
+def test_markov_not_cp_exits_two(tmp_path, capsys):
+    out_path = tmp_path / "noncp.csv"
+    code, out, err = run_cli(
+        capsys, "markov", "--family", "homogenization", "--T1", "0.1", "--T2", "1",
+        "--w", "0.5", "--t-max", "1", "--output", str(out_path),
+    )
+    assert code == 2
+    assert out == ""
+    _assert_one_error_line(err)
+    assert "not CP" in err
+    assert not out_path.exists()
+
+
 def test_markov_unwritable_output(capsys):
     code, _, err = run_cli(
         capsys,
@@ -268,4 +288,42 @@ def test_unknown_preset(capsys):
 
 def test_bad_flags_exit_one(capsys):
     assert main(["markov", "--family", "nope", "--t-max", "1", "--output", "x"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--preset", "depolarizing:nan"],
+        ["analyze", "--preset", "depolarizing:inf"],
+        ["analyze", "--preset", "depolarizing:-inf"],
+        ["analyze", "--channel", "{tmp}/overflow.json"],
+        ["markov", "--family", "depolarization", "--t-max", "inf",
+         "--output", "{tmp}/inf.csv"],
+        ["markov", "--family", "decoherence", "--omega", "1e308", "--t-max", "10",
+         "--output", "{tmp}/omega.csv"],
+    ],
+)
+def test_non_finite_input_exits_one(argv, tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text('{"n": [0, 0, 1e400], "M": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}')
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert out == ""
+    _assert_one_error_line(err)
+    assert "finite" in err
+
+
+def test_amend_local_negative_seed_exits_one(capsys):
+    code, _, err = run_cli(
+        capsys, "amend", "local", "--preset", "seb-example", "--seed", "-3"
+    )
+    assert code == 1
+    _assert_one_error_line(err)
+    assert "seed must be nonnegative" in err
+
+
+def test_threads_option_is_gone(capsys):
+    assert main(["--threads", "8", "analyze", "--preset", "identity"]) == 1
     capsys.readouterr()

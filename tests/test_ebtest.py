@@ -1,9 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
 from ebchannels import (
     EBMethod,
     SEBClass,
+    analyze,
+    canonical_form,
     classify_seb,
     closed_form_verdict,
     depolarizing_channel,
@@ -19,13 +23,15 @@ from ebchannels import (
     uniaxial_eb_condition,
     uniaxial_spectra,
     uniaxial_verdict,
+    validate_cptp,
 )
 from ebchannels.channel import QubitChannelAffine, choi, choi_partial_transpose, compose
 from ebchannels.errors import NotCP, PreconditionViolated
-from ebchannels.linalg import hermitian_eigenvalues
+from ebchannels.linalg import hermitian_eigenvalues, svd3
 from helpers import (
     axial_channel,
     random_axial_cp,
+    random_cptp_channel,
     random_lambda1_zero_cp,
     random_unital_cp_lambdas,
     random_unitary_sample,
@@ -238,3 +244,58 @@ def test_verdict_invariant_under_unitary_conjugation():
 def test_pt_margin_matches_verdict_margin():
     phi = depolarizing_channel(0.2)
     assert pt_margin(phi) == is_eb_numeric(phi).margin
+
+
+def _count_calls(monkeypatch, func):
+    """Count calls to `func` through every package namespace that holds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ebchannels"):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_analyze_runs_two_eigensolves_and_one_svd(monkeypatch):
+    eigs = _count_calls(monkeypatch, hermitian_eigenvalues)
+    svds = _count_calls(monkeypatch, svd3)
+    analyze(amplitude_damping(0.3))
+    assert (len(eigs), len(svds)) == (2, 1)
+
+
+def test_analyze_matches_separate_calls():
+    rng = np.random.default_rng(67)
+    channels = [random_cptp_channel(rng) for _ in range(40)]
+    channels += [
+        identity_channel(),
+        seb_example_channel(),
+        depolarizing_channel(0.2),
+        amplitude_damping(0.5),
+        diagonal_channel([0.0, 0.3, 0.2], [0.1, 0.2, 0.3]),
+    ]
+    seen = set()
+    for phi in channels:
+        result = analyze(phi)
+        assert result.verdict == is_eb_numeric(phi)
+        assert result.verdict.choi_min_eig == validate_cptp(phi).min_choi_eig
+        canon = canonical_form(phi)
+        for field in ("lam", "n", "r_pre", "r_post"):
+            assert np.array_equal(getattr(result.canonical, field), getattr(canon, field))
+        closed_form = (result.closed_form_method, result.closed_form_is_eb)
+        assert closed_form == closed_form_verdict(phi)
+        assert result.seb_class is classify_seb(phi)
+        seen.add(result.seb_class)
+    assert seen == set(SEBClass)
+
+
+def test_analyze_not_cp_carries_min_eig():
+    phi = diagonal_channel([1.0, 1.0, -1.0])
+    with pytest.raises(NotCP) as info:
+        analyze(phi)
+    assert abs(info.value.min_eig - (-0.5)) < 1e-10
