@@ -14,6 +14,7 @@ the output is entangled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +23,14 @@ from . import basis
 from .channel import (
     QubitChannelAffine,
     QuditAffineMap,
+    _rotations,
     choi,
     compose,
     seb_example_channel,
     unitary_channel,
     validate_cptp,
 )
-from .ebtest import is_eb_numeric, pt_margin
+from .ebtest import _BLOCK, _pt_margins, is_eb_numeric
 from .errors import InvalidParameter, NonPositiveOutput, NotCP
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .tolerances import AMEND_TOL, EB_BOUNDARY_TOL, OUTPUT_PSD_TOL
@@ -75,18 +77,26 @@ def interleave(
     return result
 
 
-def _sample_unitary(rng: np.random.Generator) -> UnitarySample:
-    # uniform axis from a normalized Gaussian triple, uniform angle; close
-    # to but not exactly Haar on the induced channel, which is fine for a
-    # falsification search
-    while True:
-        raw = rng.standard_normal(3)
-        norm = float(np.linalg.norm(raw))
-        if norm > 1e-12:
-            break
-    axis = raw / norm
-    angle = float(rng.uniform(0.0, 2.0 * np.pi))
-    return UnitarySample(axis=(axis[0], axis[1], axis[2]), angle=angle)
+def _sample_unitaries(
+    rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # `count` rotations drawn one after another, each a uniform axis from a
+    # normalized Gaussian triple and then a uniform angle; close to but not
+    # exactly Haar on the induced channel, which is fine for a
+    # falsification search.  2 pi * random() is rng.uniform(0, 2 pi) bit
+    # for bit, at a third of the call cost
+    raw = np.empty((count, 3))
+    norms = np.empty(count)
+    angles = np.empty(count)
+    for j in range(count):
+        while True:
+            draw = rng.standard_normal(3)
+            norm = math.sqrt(draw @ draw)
+            if norm > 1e-12:
+                break
+        raw[j], norms[j] = draw, norm
+        angles[j] = 2.0 * math.pi * rng.random()
+    return raw / norms[:, None], angles
 
 
 @dataclass(frozen=True)
@@ -116,15 +126,30 @@ class AmendmentReport:
     amended: bool
 
 
+def _interleaved_pt_margins(
+    base: QubitChannelAffine, rotations: np.ndarray
+) -> np.ndarray:
+    # `pt_margin(interleave(base, unitaries))` for a stack of trials, each
+    # row of `rotations` (trials, layers - 1, 3, 3) one trial's rotations
+    n, m = base.n, base.M
+    for layer in range(rotations.shape[1]):
+        mu = m @ rotations[:, layer]
+        n = n + mu @ base.n
+        m = mu @ base.M
+    return _pt_margins(n, m)
+
+
 def local_amendment_search(
     base: QubitChannelAffine, n_layers: int, trials: int, seed: int
 ) -> AmendmentReport:
     """Randomized search over interleaved unitaries.
 
     Each trial draws n_layers - 1 independent rotations, composes the
-    interleaving and evaluates its partial-transpose margin.  Fully
-    deterministic for a given seed; the best trial is the one with the
-    largest violation, ties broken by lowest trial index.
+    interleaving and evaluates its partial-transpose margin.  Trials are
+    drawn and evaluated in seed-ordered blocks, which changes neither the
+    draws nor the result.  Fully deterministic for a given seed; the best
+    trial is the one with the largest violation, ties broken by lowest
+    trial index.
     """
     if n_layers < 2:
         raise InvalidParameter(f"n_layers must be at least 2, got {n_layers}")
@@ -138,13 +163,21 @@ def local_amendment_search(
     best_violation = -np.inf
     best_trial = -1
     best_unitaries: tuple[UnitarySample, ...] = ()
-    for trial in range(trials):
-        unitaries = tuple(_sample_unitary(rng) for _ in range(n_layers - 1))
-        violation = -pt_margin(interleave(base, unitaries))
-        if violation > best_violation:
-            best_violation = violation
-            best_trial = trial
-            best_unitaries = unitaries
+    layers = n_layers - 1
+    for start in range(0, trials, _BLOCK):
+        block = min(_BLOCK, trials - start)
+        axes, angles = _sample_unitaries(rng, block * layers)
+        rotations = _rotations(axes, angles).reshape(block, layers, 3, 3)
+        violations = -_interleaved_pt_margins(base, rotations)
+        i = int(np.argmax(violations))  # the first of equal maxima
+        if violations[i] > best_violation:
+            best_violation = violations[i]
+            best_trial = start + i
+            chosen = slice(i * layers, (i + 1) * layers)
+            best_unitaries = tuple(
+                UnitarySample(axis=tuple(axis), angle=float(angle))
+                for axis, angle in zip(axes[chosen], angles[chosen])
+            )
     return AmendmentReport(
         base_channel=base,
         n_layers=n_layers,

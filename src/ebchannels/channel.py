@@ -9,7 +9,6 @@ but matrix entries do, so it is pinned here for interoperability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +141,11 @@ def choi_partial_transpose(phi: QubitChannelAffine) -> np.ndarray:
     and sigma_z, so this is `choi` with M's y column negated, equal entry
     for entry to `partial_transpose(choi(phi), 2, 2)`.
     """
-    return _choi(phi.n, phi.M * (1.0, -1.0, 1.0))
+    return _choi_pt(phi.n, phi.M)
+
+
+def _choi_pt(n: np.ndarray, M: np.ndarray) -> np.ndarray:
+    return _choi(n, M * (1.0, -1.0, 1.0))
 
 
 def validate_cptp(phi: QubitChannelAffine) -> CPTPReport:
@@ -178,10 +181,25 @@ def unitary_channel(axis, angle: float) -> QubitChannelAffine:
     norm = np.linalg.norm(axis)
     if abs(norm - 1.0) > AXIS_NORM_TOL:
         raise BadAxis(f"axis norm is {norm}, expected 1")
-    x, y, z = axis
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    rot = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-    return QubitChannelAffine(np.zeros(3), rot)
+    return QubitChannelAffine(np.zeros(3), _rotations(axis, np.asarray(angle, float)))
+
+
+def _rotations(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    # Rodrigues' formula I + sin(a) K + (1 - cos(a)) K^2 over any leading
+    # axes: unit axes (..., 3) and angles (...) give rotations (..., 3, 3)
+    x, y, z = np.moveaxis(axes, -1, 0)
+    zero = np.zeros_like(x)
+    k = np.stack(
+        [
+            np.stack([zero, -z, y], axis=-1),
+            np.stack([z, zero, -x], axis=-1),
+            np.stack([-y, x, zero], axis=-1),
+        ],
+        axis=-2,
+    )
+    sin = np.sin(angles)[..., None, None]
+    cos = np.cos(angles)[..., None, None]
+    return np.eye(3) + sin * k + (1.0 - cos) * (k @ k)
 
 
 def apply_channel(phi: QubitChannelAffine, rho: np.ndarray) -> np.ndarray:

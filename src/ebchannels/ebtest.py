@@ -18,13 +18,15 @@ import numpy as np
 from .channel import (
     CanonicalDecomposition,
     QubitChannelAffine,
+    _choi,
+    _choi_pt,
     canonical_form,
     choi_partial_transpose,
     validate_cptp,
 )
 from .errors import NotCP, PreconditionViolated
 from .linalg import hermitian_eigenvalues
-from .tolerances import CLOSED_FORM_TOL, EB_BOUNDARY_TOL, RANK_TOL
+from .tolerances import CLOSED_FORM_TOL, CP_TOL, EB_BOUNDARY_TOL, RANK_TOL
 
 __all__ = [
     "EBMethod",
@@ -91,10 +93,7 @@ def is_eb_numeric(phi: QubitChannelAffine) -> EBVerdict:
     """Numeric PPT verdict.  Raises NotCP for non-CP input."""
     report = validate_cptp(phi)
     if not report.is_cp:
-        raise NotCP(
-            f"channel is not CP: min Choi eigenvalue {report.min_choi_eig:.3e}",
-            min_eig=report.min_choi_eig,
-        )
+        raise _not_cp(report.min_choi_eig)
     margin = pt_margin(phi)
     return EBVerdict(
         is_eb=margin >= -EB_BOUNDARY_TOL,
@@ -102,6 +101,37 @@ def is_eb_numeric(phi: QubitChannelAffine) -> EBVerdict:
         choi_min_eig=report.min_choi_eig,
         method=EBMethod.NUMERIC_PPT,
     )
+
+
+def _not_cp(min_choi_eig: float) -> NotCP:
+    return NotCP(
+        f"channel is not CP: min Choi eigenvalue {min_choi_eig:.3e}",
+        min_eig=min_choi_eig,
+    )
+
+
+# channels per stacked eigensolve in the batched callers (time grids,
+# amendment trials): large enough to amortize the per-sweep overhead,
+# small enough to bound their working memory
+_BLOCK = 200
+
+
+def _pt_margins(n: np.ndarray, M: np.ndarray) -> np.ndarray:
+    # `pt_margin` of each channel in a stack: n (k, 3), M (k, 3, 3)
+    return hermitian_eigenvalues(_choi_pt(n, M))[:, 0]
+
+
+def _numeric_verdicts(
+    n: np.ndarray, M: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # margins and EB flags of `is_eb_numeric` for a stack of channels,
+    # raising its NotCP for the first non-CP one
+    choi_min = hermitian_eigenvalues(_choi(n, M))[:, 0]
+    not_cp = np.flatnonzero(choi_min < -CP_TOL)
+    if len(not_cp):
+        raise _not_cp(float(choi_min[not_cp[0]]))
+    margins = _pt_margins(n, M)
+    return margins, margins >= -EB_BOUNDARY_TOL
 
 
 def unital_spectra(lam) -> tuple[np.ndarray, np.ndarray]:

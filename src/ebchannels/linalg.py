@@ -11,6 +11,7 @@ eigenvalues that are many orders of magnitude below the matrix norm
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -26,35 +27,50 @@ _REL_PIVOT_SKIP = 1e-18
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted ascending.
+    """Eigenvalues of a Hermitian matrix, or of each matrix in a stack.
 
-    The input must be Hermitian within HERMITICITY_TOL (max deviation of
-    any entry of m - m^dagger); it is symmetrized before iterating so the
+    A 2-D input returns its eigenvalues sorted ascending; an (N, n, n)
+    stack returns an (N, n) array, each row sorted ascending.  Every
+    matrix must be Hermitian within HERMITICITY_TOL (max deviation of any
+    entry of m - m^dagger); it is symmetrized before iterating so the
     rotations act on an exactly Hermitian matrix.
 
+    A single matrix is swept in scalar arithmetic; a stack is swept
+    vectorized across its matrices, each taking the same pivot decisions
+    and the same rounding as it would on its own, so both give the same
+    eigenvalues (zeros may differ in sign).
+
     Raises:
-        NotHermitian: if the Hermiticity pre-check fails.
+        NotHermitian: if the Hermiticity pre-check fails for any matrix.
         ConvergenceFailure: if Jacobi sweeps do not converge (not
             reachable for finite inputs of the sizes used here).
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(
+            f"expected a square matrix or a stack of them, got shape {m.shape}"
+        )
     if not np.isfinite(m).all():
         raise NotHermitian("matrix contains non-finite entries")
-    deviation = np.abs(m - m.conj().T).max()
+    m_dagger = m.conj().swapaxes(-1, -2)
+    deviation = np.abs(m - m_dagger).max(initial=0.0)
     if deviation > HERMITICITY_TOL:
         raise NotHermitian(
             f"matrix is not Hermitian: max |m - m^dagger| = {deviation:.3e} "
             f"exceeds {HERMITICITY_TOL:.0e}"
         )
-    n = m.shape[0]
-    if n == 1:
-        return np.array([m[0, 0].real])
+    if m.shape[-1] == 1:
+        return m[..., 0].real.copy()
+    h = (m + m_dagger) / 2.0
+    if m.ndim == 3:
+        return _jacobi_stack(h)
+    return _jacobi(h.tolist())
 
+
+def _jacobi(h: list[list[complex]]) -> np.ndarray:
     # plain nested lists: scalar complex arithmetic beats ndarray indexing
-    # at these sizes, and the hot callers loop over thousands of matrices
-    h = ((m + m.conj().T) / 2.0).tolist()
+    # at these sizes
+    n = len(h)
     for _ in range(MAX_JACOBI_SWEEPS):
         rotated = False
         for p in range(n - 1):
@@ -97,7 +113,90 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
                 rotated = True
         if not rotated:
             return np.sort(np.array([h[i][i].real for i in range(n)]))
-    raise ConvergenceFailure(
+    raise _not_converged()
+
+
+def _jacobi_stack(h: np.ndarray) -> np.ndarray:
+    # `_jacobi` vectorized over the stack, with the stack index moved last
+    # so every entry (i, j) is one contiguous vector.  Matrices leave the
+    # active set after their first sweep without a rotation, as the scalar
+    # sweep returns.
+    count, n, _ = h.shape
+    h = h.transpose(1, 2, 0).copy()
+    out = np.empty((count, n))
+    active = np.arange(count)
+    diagonal = (np.arange(n), np.arange(n))
+    for _ in range(MAX_JACOBI_SWEEPS):
+        rotated = np.zeros(len(active), dtype=bool)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = h[p, q]
+                r = np.hypot(apq.real, apq.imag)
+                scale = np.abs(h[p, p].real) + np.abs(h[q, q].real)
+                rot = r > _REL_PIVOT_SKIP * scale
+                if rot.all():
+                    _rotate(h, p, q, r)
+                    rotated[:] = True
+                    continue
+                flush = ~rot & (r != 0.0)
+                if flush.any():
+                    h[p, q, flush] = 0.0
+                    h[q, p, flush] = 0.0
+                if rot.any():
+                    rotated |= rot
+                    idx = np.flatnonzero(rot)
+                    g = h[:, :, idx]
+                    _rotate(g, p, q, r[idx])
+                    h[:, :, idx] = g
+        done = ~rotated
+        out[active[done]] = np.sort(h[diagonal][:, done].real.T, axis=1)
+        h = h[:, :, rotated]
+        active = active[rotated]
+        if not len(active):
+            return out
+    raise _not_converged()
+
+
+def _rotate(h, p, q, r) -> None:
+    # `_jacobi`'s rotation at pivot (p, q) of every matrix in the stack,
+    # rounded as CPython rounds it, so only the signs of zeros may differ
+    # from the scalar sweep.  numpy may fuse the multiply and add of a
+    # complex product, so w * v is formed as re(w) * v + (i im(w)) * v:
+    # with one factor real or imaginary each product rounds once, fused or
+    # not.  math.hypot stands in for numpy's hypot, which differs in the
+    # last bit; np.hypot(re, im) matches abs().
+    apq = h[p, q]
+    tau = (h[q, q].real - h[p, p].real) / (2.0 * r)
+    t = 1.0 / (np.abs(tau) + _hypot1(tau))
+    t = np.where(tau < 0.0, -t, t)
+    c = 1.0 / _hypot1(t)
+    s = t * c
+    sr = s * (apq.real / r)  # sa = s * alpha = sr + i si, sac = conj(sa)
+    si = s * (apq.imag / r)
+    wr = np.stack([-sr, sr])
+    pair = [p, q]
+    # columns (p, q) <- (c aip - sac aiq, c aiq + sa aip)
+    cols = h[:, pair]
+    h[:, pair] = _mix(cols, cols[:, ::-1], c, wr, 1j * si)
+    # rows (p, q) <- (c apj - sa aqj, c aqj + sac apj)
+    rows = h[pair]
+    h[pair] = _mix(rows, rows[::-1], c, wr[:, None], -1j * si)
+    h[p, q] = 0.0
+    h[q, p] = 0.0
+
+
+def _mix(own, other, c, wr, iwi):
+    # c * own + w * other with w = wr + iwi; subtracting a product equals
+    # adding it with w negated, rounding included
+    return c * own + (wr * other + iwi * other)
+
+
+def _hypot1(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.hypot, repeat(1.0), x.tolist()), float, len(x))
+
+
+def _not_converged() -> ConvergenceFailure:
+    return ConvergenceFailure(
         f"Jacobi iteration did not converge within {MAX_JACOBI_SWEEPS} sweeps"
     )
 

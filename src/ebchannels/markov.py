@@ -14,8 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import QubitChannelAffine, canonical_form
-from .ebtest import is_eb_numeric, pt_margin, uniaxial_eb_condition
+from .channel import QubitChannelAffine
+from .ebtest import (
+    _BLOCK,
+    _numeric_verdicts,
+    _pt_margins,
+    pt_margin,
+    uniaxial_eb_condition,
+)
 from .errors import InvalidParameter, NegativeTime
 
 __all__ = [
@@ -82,33 +88,53 @@ class Homogenization:
 DynamicalFamily = Decoherence | Depolarization | Homogenization
 
 
-def _rotation_block(damping: float, angle: float) -> np.ndarray:
-    if not math.isfinite(angle):
-        raise InvalidParameter(f"rotation angle omega * t = {angle} is not finite")
-    c = damping * math.cos(angle)
-    s = damping * math.sin(angle)
-    return np.array([[c, s], [-s, c]])
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    # math's elementary functions over an array: numpy's vectorized exp
+    # differs from math.exp in the last bit on some inputs, which would
+    # change the published scan digits
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
+def _params(
+    family: DynamicalFamily, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Translations (k, 3) and contractions (k, 3, 3) at the k `times`."""
+    k = len(times)
+    n = np.zeros((k, 3))
+    m = np.zeros((k, 3, 3))
+    # -t / T and omega * t may overflow (or be inf * 0); a non-finite
+    # angle is rejected below, as scalar Python arithmetic would give it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(family, Depolarization):
+            m[:] = _elementwise(math.exp, -times / family.T)[:, None, None] * np.eye(3)
+            return n, m
+        if isinstance(family, Decoherence):
+            damping = _elementwise(math.exp, -times / family.T)
+            m[:, 2, 2] = 1.0
+        elif isinstance(family, Homogenization):
+            damping = _elementwise(math.exp, -times / family.T2)
+            m[:, 2, 2] = _elementwise(math.exp, -times / family.T1)
+            n[:, 2] = family.w * (1.0 - m[:, 2, 2])
+        else:
+            raise TypeError(f"unknown dynamical family {family!r}")
+        angle = family.omega * times
+    bad = np.flatnonzero(~np.isfinite(angle))
+    if len(bad):
+        raise InvalidParameter(
+            f"rotation angle omega * t = {float(angle[bad[0]])} is not finite"
+        )
+    c = damping * _elementwise(math.cos, angle)
+    s = damping * _elementwise(math.sin, angle)
+    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] = c, s, -s, c
+    return n, m
 
 
 def channel_at(family: DynamicalFamily, t: float) -> QubitChannelAffine:
     """The family's channel at time t (identity at t = 0)."""
     if t < 0.0:
         raise NegativeTime(f"time must be nonnegative, got {t}")
-    if isinstance(family, Decoherence):
-        m = np.eye(3)
-        m[:2, :2] = _rotation_block(math.exp(-t / family.T), family.omega * t)
-        return QubitChannelAffine(np.zeros(3), m)
-    if isinstance(family, Depolarization):
-        return QubitChannelAffine(np.zeros(3), math.exp(-t / family.T) * np.eye(3))
-    if isinstance(family, Homogenization):
-        e1 = math.exp(-t / family.T1)
-        m = np.eye(3)
-        m[:2, :2] = _rotation_block(math.exp(-t / family.T2), family.omega * t)
-        m[2, 2] = e1
-        return QubitChannelAffine(
-            np.array([0.0, 0.0, family.w * (1.0 - e1)]), m
-        )
-    raise TypeError(f"unknown dynamical family {family!r}")
+    n, m = _params(family, np.array([float(t)]))
+    return QubitChannelAffine(n[0], m[0])
 
 
 def eb_onset(
@@ -121,32 +147,32 @@ def eb_onset(
     returns None when the margin stays negative over the whole window.
     The crossing test is strict (margin >= 0 rather than the verdict
     tolerance): families whose margin approaches zero from below without
-    ever reaching it must not report a spurious finite onset.
+    ever reaching it must not report a spurious finite onset.  The coarse
+    grid is evaluated in blocks up to the first block with a crossing;
+    a rotation angle omega * t that is not finite anywhere on it raises
+    InvalidParameter.
     """
     if not t_max > 0.0:
         raise InvalidParameter(f"t_max must be positive, got {t_max}")
     if coarse_steps < 2:
         raise InvalidParameter("coarse_steps must be at least 2")
 
-    def margin(t: float) -> float:
-        return pt_margin(channel_at(family, t))
-
     times = np.linspace(0.0, t_max, coarse_steps)
-    previous = times[0]
-    if margin(previous) >= 0.0:
-        return float(previous)
-    hit = None
-    for t in times[1:]:
-        if margin(t) >= 0.0:
-            hit = t
+    n, m = _params(family, times)
+    for start in range(0, coarse_steps, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        crossings = np.flatnonzero(_pt_margins(n[block], m[block]) >= 0.0)
+        if len(crossings):
+            hit = start + int(crossings[0])
             break
-        previous = t
-    if hit is None:
+    else:
         return None
-    lo, hi = float(previous), float(hit)
+    if hit == 0:
+        return float(times[0])
+    lo, hi = float(times[hit - 1]), float(times[hit])
     while hi - lo > 1e-9 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if margin(mid) >= 0.0:
+        if pt_margin(channel_at(family, mid)) >= 0.0:
             hi = mid
         else:
             lo = mid
@@ -232,27 +258,30 @@ def scan(
     if t_min < 0.0:
         raise NegativeTime(f"t_min must be nonnegative, got {t_min}")
     times = np.linspace(t_min, t_max, steps)
+    n, m = _params(family, times)
+    margins = np.empty(steps)
+    is_eb = np.empty(steps, dtype=bool)
+    for start in range(0, steps, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        margins[block], is_eb[block] = _numeric_verdicts(n[block], m[block])
+    # the singular values of `canonical_form`, taken from the same LAPACK
+    # call as svd3 makes: without vectors it rounds differently
+    lam = np.linalg.svd(m)[1]
     rows = []
-    homog = isinstance(family, Homogenization)
-    for t in times:
-        phi = channel_at(family, float(t))
-        verdict = is_eb_numeric(phi)
-        lam = np.abs(canonical_form(phi).lam)
+    for i, t in enumerate(times.tolist()):
         row = {
-            "t": float(t),
-            "lam": (float(lam[0]), float(lam[1]), float(lam[2])),
-            "margin": verdict.margin,
-            "is_eb": verdict.is_eb,
+            "t": t,
+            "lam": tuple(lam[i].tolist()),
+            "margin": float(margins[i]),
+            "is_eb": bool(is_eb[i]),
         }
-        if homog:
-            fvals = homogenization_f(float(t), family.T1, family.T2, family.w)
+        if isinstance(family, Homogenization):
+            fvals = homogenization_f(t, family.T1, family.T2, family.w)
             row.update(
                 f1=fvals.f1,
                 f2=fvals.f2,
                 f=fvals.f,
-                cf_eb=homogenization_eb_condition(
-                    float(t), family.T1, family.T2, family.w
-                ),
+                cf_eb=homogenization_eb_condition(t, family.T1, family.T2, family.w),
             )
         rows.append(ScanRow(**row))
     return TimeScan(family=family, times=times, rows=rows)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ebchannels import (
+    QubitChannelAffine,
     QuditAffineMap,
     UnitarySample,
     builtin_global_amendment_map,
@@ -15,6 +16,7 @@ from ebchannels import (
     identity_qudit_map,
     interleave,
     local_amendment_search,
+    pt_margin,
     run_builtin_global_example,
     seb_example_channel,
 )
@@ -165,3 +167,47 @@ def test_global_map_requires_d4():
         global_amendment_example(seb_example_channel(), identity_qudit_map(3))
     with pytest.raises(NotCP):
         global_amendment_example(diagonal_channel([1, 1, -1]), identity_qudit_map(4))
+
+
+# full-rank EB base whose interleavings have no exact ties
+_FULL_RANK_EB = QubitChannelAffine(
+    [0.05, -0.03, 0.1], [[0.3, 0.05, 0.0], [0.02, 0.25, 0.04], [0.0, -0.03, -0.2]]
+)
+
+
+def _replayed_unitaries(rng, count):
+    # the documented draw order: a Gaussian triple (redrawn if nearly zero),
+    # normalized to the axis, then a uniform angle in [0, 2 pi)
+    out = []
+    for _ in range(count):
+        raw = rng.standard_normal(3)
+        while np.linalg.norm(raw) <= 1e-12:
+            raw = rng.standard_normal(3)
+        axis = raw / np.linalg.norm(raw)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        out.append(UnitarySample(axis=(axis[0], axis[1], axis[2]), angle=angle))
+    return tuple(out)
+
+
+def test_local_search_keeps_the_draw_order():
+    report = local_amendment_search(_FULL_RANK_EB, n_layers=3, trials=450, seed=11)
+    rng = np.random.default_rng(11)
+    for _ in range(report.best_trial + 1):
+        unitaries = _replayed_unitaries(rng, 2)
+    assert report.best_unitaries == unitaries
+    composite = interleave(_FULL_RANK_EB, report.best_unitaries)
+    assert abs(report.best_pt_min_eig - pt_margin(composite)) <= 1e-14
+
+
+@pytest.mark.parametrize("trials", [1, 199, 200, 201, 1000])
+def test_local_search_matches_trial_by_trial_loop(trials):
+    report = local_amendment_search(_FULL_RANK_EB, n_layers=3, trials=trials, seed=5)
+    rng = np.random.default_rng(5)
+    best_violation, best_trial = -np.inf, -1
+    for trial in range(trials):
+        violation = -pt_margin(interleave(_FULL_RANK_EB, _replayed_unitaries(rng, 2)))
+        if violation > best_violation:
+            best_violation, best_trial = violation, trial
+    assert report.best_trial == best_trial
+    assert abs(report.best_margin - best_violation) <= 1e-14
+    assert report.base_is_eb and not report.amended

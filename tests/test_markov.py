@@ -17,8 +17,9 @@ from ebchannels import (
     pt_margin,
     scan,
     scan_to_csv,
+    validate_cptp,
 )
-from ebchannels.errors import InvalidParameter, NegativeTime
+from ebchannels.errors import InvalidParameter, NegativeTime, NotCP
 
 FAMILIES = [
     Decoherence(T=1.0, omega=5.0),
@@ -242,3 +243,69 @@ def test_scan_csv_format():
     assert format(margin, ".17g") == cells[4]
     plain = scan_to_csv(scan(Depolarization(T=1.0), 0.0, 1.0, 3))
     assert plain.startswith("t,lam1,lam2,lam3,margin,is_eb\n")
+
+
+def _scalar_onset(family, t_max, coarse_steps):
+    # eb_onset's walk, one channel at a time
+    def margin(t):
+        return pt_margin(channel_at(family, t))
+
+    times = np.linspace(0.0, t_max, coarse_steps)
+    if margin(float(times[0])) >= 0.0:
+        return float(times[0])
+    for previous, t in zip(times, times[1:]):
+        if margin(float(t)) >= 0.0:
+            lo, hi = float(previous), float(t)
+            break
+    else:
+        return None
+    while hi - lo > 1e-9 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if margin(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("coarse_steps", [2, 199, 200, 201, 1000])
+@pytest.mark.parametrize(
+    "family, t_max",
+    [
+        (Depolarization(T=1.0), 10.0),
+        # on the 1000-point grid the margin turns nonnegative at index 200,
+        # so the bracket straddles the first two blocks of 200
+        (Depolarization(T=1.0), math.log(3.0) * 999 / 199.5),
+        (Homogenization(T1=1.0, T2=1.0, w=0.5, omega=3.0), 8.0),
+        (Decoherence(T=1.0, omega=5.0), 50.0),
+    ],
+)
+def test_eb_onset_matches_scalar_walk(family, t_max, coarse_steps):
+    expected = _scalar_onset(family, t_max, coarse_steps)
+    assert eb_onset(family, t_max, coarse_steps) == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scan_rows_match_per_row_analysis(family):
+    result = scan(family, 0.0, 6.0, 450)
+    assert len(result.rows) == 450
+    for row in result.rows:
+        phi = channel_at(family, row.t)
+        verdict = is_eb_numeric(phi)
+        assert abs(row.margin - verdict.margin) <= 1e-15
+        assert row.is_eb == verdict.is_eb
+        lam = np.abs(canonical_form(phi).lam)
+        assert np.abs(np.array(row.lam) - lam).max() <= 1e-15
+
+
+def test_scan_not_cp_carries_first_bad_row():
+    # transverse damping outruns longitudinal decay: not CP for small t > 0,
+    # and within CP_TOL only until t ~ 3e-10, past the first block of rows
+    family = Homogenization(T1=0.3, T2=1.0, w=0.5)
+    times = np.linspace(0.0, 5e-10, 450)
+    reports = [validate_cptp(channel_at(family, float(t))) for t in times]
+    first = next(i for i, r in enumerate(reports) if not r.is_cp)
+    assert first > 200
+    with pytest.raises(NotCP, match="channel is not CP") as excinfo:
+        scan(family, 0.0, 5e-10, 450)
+    assert excinfo.value.min_eig == reports[first].min_choi_eig
