@@ -162,7 +162,7 @@ def local_amendment_search(
     rng = np.random.default_rng(seed)
     best_violation = -np.inf
     best_trial = -1
-    best_unitaries: tuple[UnitarySample, ...] = ()
+    best_axes = best_angles = ()
     layers = n_layers - 1
     for start in range(0, trials, _BLOCK):
         block = min(_BLOCK, trials - start)
@@ -174,10 +174,11 @@ def local_amendment_search(
             best_violation = violations[i]
             best_trial = start + i
             chosen = slice(i * layers, (i + 1) * layers)
-            best_unitaries = tuple(
-                UnitarySample(axis=tuple(axis), angle=float(angle))
-                for axis, angle in zip(axes[chosen], angles[chosen])
-            )
+            best_axes, best_angles = axes[chosen], angles[chosen]
+    best_unitaries = tuple(
+        UnitarySample(axis=tuple(axis), angle=float(angle))
+        for axis, angle in zip(best_axes, best_angles)
+    )
     return AmendmentReport(
         base_channel=base,
         n_layers=n_layers,
