@@ -24,6 +24,7 @@ from .channel import (
     QubitChannelAffine,
     QuditAffineMap,
     _rotations,
+    apply_qudit_map,
     choi,
     compose,
     seb_example_channel,
@@ -273,10 +274,7 @@ def global_amendment_example(
             min_eig=report.min_choi_eig,
         )
 
-    x = basis.coherence_from_state(choi(base), 4, ordering)
-    mapped = basis.state_from_coherence(
-        global_map.n + global_map.M @ x, 4, ordering
-    )
+    mapped = apply_qudit_map(global_map, choi(base), ordering)
     mapped = mapped / np.trace(mapped).real
 
     min_eig = float(hermitian_eigenvalues(mapped)[0])

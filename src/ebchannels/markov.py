@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import QubitChannelAffine
-from .ebtest import (
-    _BLOCK,
-    _numeric_verdicts,
-    _pt_margins,
-    pt_margin,
-    uniaxial_eb_condition,
-)
+from .ebtest import _BLOCK, _numeric_verdicts, pt_margin, uniaxial_eb_condition
 from .errors import InvalidParameter, NegativeTime
 
 __all__ = [
@@ -137,42 +131,46 @@ def channel_at(family: DynamicalFamily, t: float) -> QubitChannelAffine:
     return QubitChannelAffine(n[0], m[0])
 
 
-def eb_onset(
-    family: DynamicalFamily, t_max: float, coarse_steps: int = 1000
-) -> float | None:
+# the grid whose first EB point brackets the onset; it fixes where the
+# refinement starts, and so the reported digits
+_ONSET_GRID = 1000
+
+
+def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
     """Earliest time in [0, t_max] at which the channel becomes EB.
 
-    Locates the first zero crossing of the partial-transpose margin by a
-    coarse scan followed by bisection to 1e-9 relative precision, and
-    returns None when the margin stays negative over the whole window.
-    The crossing test is strict (margin >= 0 rather than the verdict
-    tolerance): families whose margin approaches zero from below without
-    ever reaching it must not report a spurious finite onset.  The coarse
-    grid is evaluated in blocks up to the first block with a crossing;
-    a rotation angle omega * t that is not finite anywhere on it raises
-    InvalidParameter.
+    The families are semigroups, and an EB channel followed by any
+    channel is EB, so the margin crosses zero at most once: the onset is
+    found by bisecting a 1000-point grid on [0, t_max] for its first EB
+    point, then the interval before it to 1e-9 relative precision.
+    Returns None when the channel is not EB at t_max.  The crossing test
+    is strict (margin >= 0 rather than the verdict tolerance): families
+    whose margin approaches zero from below without ever reaching it
+    must not report a spurious finite onset.
     """
     if not t_max > 0.0:
         raise InvalidParameter(f"t_max must be positive, got {t_max}")
-    if coarse_steps < 2:
-        raise InvalidParameter("coarse_steps must be at least 2")
+    if not math.isfinite(t_max):
+        raise InvalidParameter(f"t_max must be finite, got {t_max}")
 
-    times = np.linspace(0.0, t_max, coarse_steps)
-    n, m = _params(family, times)
-    for start in range(0, coarse_steps, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        crossings = np.flatnonzero(_pt_margins(n[block], m[block]) >= 0.0)
-        if len(crossings):
-            hit = start + int(crossings[0])
-            break
-    else:
+    def is_eb(t: float) -> bool:
+        return pt_margin(channel_at(family, t)) >= 0.0
+
+    times = np.linspace(0.0, t_max, _ONSET_GRID).tolist()
+    if not is_eb(times[-1]):
         return None
-    if hit == 0:
-        return float(times[0])
-    lo, hi = float(times[hit - 1]), float(times[hit])
+    # every family is the identity channel, never EB, at t = 0
+    below, hit = 0, len(times) - 1
+    while hit - below > 1:
+        mid = (below + hit) // 2
+        if is_eb(times[mid]):
+            hit = mid
+        else:
+            below = mid
+    lo, hi = times[hit - 1], times[hit]
     while hi - lo > 1e-9 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if pt_margin(channel_at(family, mid)) >= 0.0:
+        if is_eb(mid):
             hi = mid
         else:
             lo = mid

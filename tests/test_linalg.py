@@ -216,7 +216,7 @@ _near_singular_pt_choi = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(st.lists(_near_singular_pt_choi, min_size=1, max_size=3))
 def test_stacked_eigenvalues_match_high_precision(matrices):
     mpmath.mp.dps = 60

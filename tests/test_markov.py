@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebchannels import (
     Decoherence,
@@ -19,7 +21,10 @@ from ebchannels import (
     scan_to_csv,
     validate_cptp,
 )
+from ebchannels import ebtest, markov
 from ebchannels.errors import InvalidParameter, NegativeTime, NotCP
+from ebchannels.linalg import hermitian_eigenvalues
+from ebchannels.tolerances import KNIFE_EDGE_BAND
 
 FAMILIES = [
     Decoherence(T=1.0, omega=5.0),
@@ -246,7 +251,8 @@ def test_scan_csv_format():
 
 
 def _scalar_onset(family, t_max, coarse_steps):
-    # eb_onset's walk, one channel at a time
+    # the reference eb_onset must reproduce: a linear walk over the grid,
+    # one channel at a time, then the same refinement
     def margin(t):
         return pt_margin(channel_at(family, t))
 
@@ -268,21 +274,97 @@ def _scalar_onset(family, t_max, coarse_steps):
     return hi
 
 
-@pytest.mark.parametrize("coarse_steps", [2, 199, 200, 201, 1000])
 @pytest.mark.parametrize(
     "family, t_max",
     [
         (Depolarization(T=1.0), 10.0),
-        # on the 1000-point grid the margin turns nonnegative at index 200,
-        # so the bracket straddles the first two blocks of 200
+        # on the 1000-point grid the margin turns nonnegative at index 200
         (Depolarization(T=1.0), math.log(3.0) * 999 / 199.5),
         (Homogenization(T1=1.0, T2=1.0, w=0.5, omega=3.0), 8.0),
         (Decoherence(T=1.0, omega=5.0), 50.0),
+        # the crossing falls in the last grid interval
+        (Depolarization(T=1.0), math.log(3.0) * 999 / 998.5),
+        # the crossing falls in the first grid interval
+        (Depolarization(T=1.0), 1100.0),
+        # the crossing is t_max itself
+        (Depolarization(T=1.0), math.log(3.0)),
     ],
 )
-def test_eb_onset_matches_scalar_walk(family, t_max, coarse_steps):
-    expected = _scalar_onset(family, t_max, coarse_steps)
-    assert eb_onset(family, t_max, coarse_steps) == expected
+def test_eb_onset_matches_scalar_walk(family, t_max):
+    assert eb_onset(family, t_max) == _scalar_onset(family, t_max, 1000)
+
+
+def _count_probes(monkeypatch):
+    probes = []
+
+    def counting_pt_margin(phi):
+        probes.append(phi)
+        return ebtest.pt_margin(phi)
+
+    def scalar_only(matrix):
+        assert np.ndim(matrix) == 2, "stacked eigensolve under eb_onset"
+        return hermitian_eigenvalues(matrix)
+
+    monkeypatch.setattr(markov, "pt_margin", counting_pt_margin)
+    monkeypatch.setattr(ebtest, "hermitian_eigenvalues", scalar_only)
+    return probes
+
+
+def test_eb_onset_probes_once_without_crossing(monkeypatch):
+    probes = _count_probes(monkeypatch)
+    assert eb_onset(Decoherence(T=1.0, omega=5.0), 50.0) is None
+    assert len(probes) == 1
+
+
+def test_eb_onset_bisects_the_crossing(monkeypatch):
+    probes = _count_probes(monkeypatch)
+    assert eb_onset(Depolarization(T=1.0), 10.0) is not None
+    assert len(probes) <= 40
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_eb_onset_rejects_infinite_t_max(family):
+    with pytest.raises(InvalidParameter, match="finite"):
+        eb_onset(family, float("inf"))
+
+
+_times = st.floats(min_value=0.0, max_value=8.0)
+
+_families = st.one_of(
+    st.builds(Depolarization, T=st.floats(min_value=0.1, max_value=5.0)),
+    # T2 <= 2 T1 keeps the family CP at every time
+    st.builds(
+        lambda T1, ratio, w, omega: Homogenization(T1, ratio * T1, w, omega),
+        st.floats(min_value=0.1, max_value=5.0),
+        st.floats(min_value=0.05, max_value=2.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=-20.0, max_value=20.0),
+    ),
+    st.builds(
+        Decoherence,
+        T=st.floats(min_value=0.1, max_value=5.0),
+        omega=st.floats(min_value=-20.0, max_value=20.0),
+    ),
+)
+
+
+@settings(max_examples=150)
+@given(_families, _times, _times)
+def test_semigroup_composition(family, s, t):
+    whole = channel_at(family, s + t)
+    parts = compose(channel_at(family, s), channel_at(family, t))
+    assert np.abs(whole.M - parts.M).max() <= 1e-12
+    assert np.abs(whole.n - parts.n).max() <= 1e-12
+
+
+@settings(max_examples=150)
+@given(_families, _times, _times)
+def test_once_eb_always_eb(family, t, s):
+    # an EB channel followed by any channel is EB, so along a semigroup
+    # the margin never turns negative again; this is what lets eb_onset
+    # bisect for a single crossing
+    if pt_margin(channel_at(family, t)) >= KNIFE_EDGE_BAND:
+        assert pt_margin(channel_at(family, t + s)) >= 0.0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
