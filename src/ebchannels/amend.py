@@ -31,9 +31,9 @@ from .channel import (
     unitary_channel,
     validate_cptp,
 )
-from .ebtest import _BLOCK, _pt_margins, is_eb_numeric
+from .ebtest import _pt_margins, is_eb_numeric
 from .errors import InvalidParameter, NonPositiveOutput, NotCP
-from .linalg import hermitian_eigenvalues, partial_transpose
+from .linalg import STACK_BLOCK, hermitian_eigenvalues, partial_transpose
 from .tolerances import AMEND_TOL, EB_BOUNDARY_TOL, OUTPUT_PSD_TOL
 
 __all__ = [
@@ -165,8 +165,8 @@ def local_amendment_search(
     best_trial = -1
     best_axes = best_angles = ()
     layers = n_layers - 1
-    for start in range(0, trials, _BLOCK):
-        block = min(_BLOCK, trials - start)
+    for start in range(0, trials, STACK_BLOCK):
+        block = min(STACK_BLOCK, trials - start)
         axes, angles = _sample_unitaries(rng, block * layers)
         rotations = _rotations(axes, angles).reshape(block, layers, 3, 3)
         violations = -_interleaved_pt_margins(base, rotations)

@@ -43,7 +43,6 @@ class OperatorBasis:
 
     d: int
     ops: tuple[np.ndarray, ...]
-    labels: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -89,24 +88,16 @@ def gell_mann_basis(d: int, ordering: str = ORDER_INTERLEAVED) -> OperatorBasis:
         raise BadDimension(f"operator basis requires d >= 2, got {d}")
     pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
     ops: list[np.ndarray] = []
-    labels: list[str] = []
     if ordering == ORDER_INTERLEAVED:
         for j, k in pairs:
             ops += [_sym(j, k, d), _antisym(j, k, d)]
-            labels += [f"s{j}{k}", f"a{j}{k}"]
     elif ordering == ORDER_GROUPED:
-        for j, k in pairs:
-            ops.append(_sym(j, k, d))
-            labels.append(f"s{j}{k}")
-        for j, k in pairs:
-            ops.append(_antisym(j, k, d))
-            labels.append(f"a{j}{k}")
+        ops += [_sym(j, k, d) for j, k in pairs]
+        ops += [_antisym(j, k, d) for j, k in pairs]
     else:
         raise ValueError(f"unknown basis ordering {ordering!r}")
-    for l in range(1, d):
-        ops.append(_diagonal(l, d))
-        labels.append(f"d{l}")
-    return OperatorBasis(d, tuple(_freeze(op) for op in ops), tuple(labels))
+    ops += [_diagonal(l, d) for l in range(1, d)]
+    return OperatorBasis(d, tuple(_freeze(op) for op in ops))
 
 
 def pauli_basis() -> OperatorBasis:
@@ -115,8 +106,7 @@ def pauli_basis() -> OperatorBasis:
     Coincides element-by-element with gell_mann_basis(2): the symmetric,
     antisymmetric and diagonal d = 2 operators are exactly x, y, z.
     """
-    base = gell_mann_basis(2)
-    return OperatorBasis(2, base.ops, ("x", "y", "z"))
+    return gell_mann_basis(2)
 
 
 def _dim_from_length(n: int) -> int:

@@ -122,7 +122,12 @@ def singlet_state() -> np.ndarray:
 
 
 def _choi(n: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return 0.25 * (_I4 + np.tensordot(n, _PI, axes=1) - np.tensordot(M, _PP, axes=2))
+    # finite parameters near the float range can still overflow the sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 0.25 * (_I4 + np.tensordot(n, _PI, axes=1) - np.tensordot(M, _PP, axes=2))
+    if not np.isfinite(out).all():
+        raise InvalidParameter("channel parameters overflow the Choi matrix")
+    return out
 
 
 def choi(phi: QubitChannelAffine) -> np.ndarray:

@@ -25,7 +25,7 @@ from .channel import (
     validate_cptp,
 )
 from .errors import NotCP, PreconditionViolated
-from .linalg import hermitian_eigenvalues
+from .linalg import _squares, hermitian_eigenvalues
 from .tolerances import CLOSED_FORM_TOL, CP_TOL, EB_BOUNDARY_TOL, RANK_TOL
 
 __all__ = [
@@ -108,12 +108,6 @@ def _not_cp(min_choi_eig: float) -> NotCP:
         f"channel is not CP: min Choi eigenvalue {min_choi_eig:.3e}",
         min_eig=min_choi_eig,
     )
-
-
-# channels per stacked eigensolve in the batched callers (time grids,
-# amendment trials): large enough to amortize the per-sweep overhead,
-# small enough to bound their working memory
-_BLOCK = 200
 
 
 def _pt_margins(n: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -206,7 +200,7 @@ def _axis_order(axis: int) -> tuple[int, int, int]:
     return others[0], others[1], axis
 
 
-def uniaxial_eb_condition(lam, n_axis: float, axis: int = 2) -> bool:
+def uniaxial_eb_condition(lam, n_axis, axis: int = 2) -> bool | np.ndarray:
     """EB criterion for a diagonal channel translated along one principal axis.
 
     Requires the other two translation components to vanish (the caller
@@ -215,16 +209,19 @@ def uniaxial_eb_condition(lam, n_axis: float, axis: int = 2) -> bool:
         min{1 - l_a, 1 + l_a} >= max over s in {+1, -1} of
             sqrt((l_b + s * l_c)^2 + n_axis^2)
 
-    where a is the translation axis and b, c the other two.
+    where a is the translation axis and b, c the other two.  One channel
+    (lam of shape (3,), a scalar n_axis) gives a bool; leading axes (lam
+    (..., 3), n_axis (...)) give a bool array of one verdict per channel.
     """
-    lam = np.asarray(lam, dtype=float).reshape(3)
+    lam = np.asarray(lam, dtype=float)
+    n_axis = np.asarray(n_axis, dtype=float)
     i1, i2, i3 = _axis_order(axis)
-    lhs = min(1.0 - lam[i3], 1.0 + lam[i3])
-    rhs = max(
-        np.sqrt((lam[i1] + lam[i2]) ** 2 + n_axis * n_axis),
-        np.sqrt((lam[i1] - lam[i2]) ** 2 + n_axis * n_axis),
-    )
-    return bool(lhs >= rhs - CLOSED_FORM_TOL)
+    l1, l2, l3 = lam[..., i1], lam[..., i2], lam[..., i3]
+    nn = n_axis * n_axis
+    lhs = np.minimum(1.0 - l3, 1.0 + l3)
+    rhs = np.maximum(np.sqrt(_squares(l1 + l2) + nn), np.sqrt(_squares(l1 - l2) + nn))
+    is_eb = lhs >= rhs - CLOSED_FORM_TOL
+    return bool(is_eb) if is_eb.ndim == 0 else is_eb
 
 
 def uniaxial_spectra(lam, n3: float) -> tuple[np.ndarray, np.ndarray]:

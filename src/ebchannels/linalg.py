@@ -25,6 +25,10 @@ MAX_JACOBI_SWEEPS = 100
 # pivots below this fraction of their diagonal pair are flushed to zero
 _REL_PIVOT_SKIP = 1e-18
 
+# matrices per vectorized sweep of a stack: large enough to amortize the
+# per-sweep overhead, small enough to bound the working memory
+STACK_BLOCK = 200
+
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, or of each matrix in a stack.
@@ -36,9 +40,11 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     rotations act on an exactly Hermitian matrix.
 
     A single matrix is swept in scalar arithmetic; a stack is swept
-    vectorized across its matrices, each taking the same pivot decisions
-    and the same rounding as it would on its own, so both give the same
-    eigenvalues (zeros may differ in sign).
+    vectorized across blocks of STACK_BLOCK (200) matrices, one block
+    after the other.  Each matrix takes the same pivot decisions and the
+    same rounding as it would on its own, so the block size changes no
+    digit and both paths give the same eigenvalues (zeros may differ in
+    sign).
 
     Raises:
         NotHermitian: if the Hermiticity pre-check fails for any matrix.
@@ -62,9 +68,13 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     if m.shape[-1] == 1:
         return m[..., 0].real.copy()
     h = (m + m_dagger) / 2.0
-    if m.ndim == 3:
-        return _jacobi_stack(h)
-    return _jacobi(h.tolist())
+    if m.ndim == 2:
+        return _jacobi(h.tolist())
+    out = np.empty(m.shape[:2])
+    for start in range(0, len(h), STACK_BLOCK):
+        block = slice(start, start + STACK_BLOCK)
+        out[block] = _jacobi_stack(h[block])
+    return out
 
 
 def _jacobi(h: list[list[complex]]) -> np.ndarray:
@@ -195,6 +205,21 @@ def _hypot1(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.hypot, repeat(1.0), x.tolist()), float, len(x))
 
 
+def _elementwise(fn, x) -> np.ndarray:
+    # a scalar function of Python floats over an array of any shape: math's
+    # functions and CPython's arithmetic can differ from numpy's vectorized
+    # ones in the last bit, which would change published digits
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _squares(x) -> np.ndarray:
+    # x ** 2 as CPython and numpy scalars compute it, through libm pow:
+    # numpy's array x ** 2 is x * x, which differs in the last bit on
+    # ~0.1 % of inputs
+    return _elementwise(lambda v: v ** 2, x)
+
+
 def _not_converged() -> ConvergenceFailure:
     return ConvergenceFailure(
         f"Jacobi iteration did not converge within {MAX_JACOBI_SWEEPS} sweeps"
@@ -205,9 +230,10 @@ def svd3(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """SVD of a real 3x3 matrix with both factors special-orthogonal.
 
     Returns (u, s, v, sign) with u, v in SO(3), s nonnegative descending,
-    and u @ diag(s1, s2, s3 * sign) @ v.T == m within RECON_TOL.  Any
-    reflection is routed into `sign`, carried by the smallest singular
-    value; sign equals the sign of det(m), with +1 for singular inputs.
+    and u @ diag(s1, s2, s3 * sign) @ v.T equal to m within 1e-10 in every
+    entry, for entries of order one.  Any reflection is routed into
+    `sign`, carried by the smallest singular value; sign equals the sign
+    of det(m), with +1 for singular inputs.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):

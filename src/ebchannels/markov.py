@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import QubitChannelAffine
-from .ebtest import _BLOCK, _numeric_verdicts, pt_margin, uniaxial_eb_condition
+from .ebtest import _numeric_verdicts, pt_margin, uniaxial_eb_condition
 from .errors import InvalidParameter, NegativeTime
+from .linalg import _elementwise, _squares
 
 __all__ = [
     "Decoherence",
@@ -24,7 +25,6 @@ __all__ = [
     "Homogenization",
     "DynamicalFamily",
     "HomogenizationF",
-    "ScanRow",
     "TimeScan",
     "channel_at",
     "eb_onset",
@@ -80,13 +80,6 @@ class Homogenization:
 
 
 DynamicalFamily = Decoherence | Depolarization | Homogenization
-
-
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    # math's elementary functions over an array: numpy's vectorized exp
-    # differs from math.exp in the last bit on some inputs, which would
-    # change the published scan digits
-    return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
 def _params(
@@ -186,6 +179,29 @@ class HomogenizationF:
     f: float
 
 
+def _homogenization(
+    times: np.ndarray, T1: float, T2: float, w: float
+) -> dict[str, np.ndarray]:
+    """Scan columns f1, f2, f and cf_eb of homogenization at the `times`.
+
+    Rounds as scalar Python arithmetic would: the exponentials go through
+    math.exp and the squares through libm pow, as numpy's vectorized exp
+    and array squares differ in the last bit on some inputs.
+    """
+    # as in Python floats, -t / T overflows to -inf quietly, and a zero
+    # time constant raises (an ArithmeticError either way)
+    with np.errstate(over="ignore", divide="raise", invalid="raise"):
+        e1 = _elementwise(math.exp, -times / T1)
+        e2 = _elementwise(math.exp, -times / T2)
+    decay = _squares(1.0 - e1)
+    f1 = (1.0 - w * w) * decay - 4.0 * e2 * e2
+    f2 = 1.0 - e2 - np.sqrt(_squares(e1 + e2) + w * w * decay)
+    # the family's singular values (e2, e2, e1) and translation
+    # w (1 - e1) along z, in the single-axis criterion
+    cf_eb = uniaxial_eb_condition(np.stack([e2, e2, e1], axis=-1), w * (1.0 - e1), axis=2)
+    return {"f1": f1, "f2": f2, "f": np.minimum(f1, f2), "cf_eb": cf_eb}
+
+
 def homogenization_f(t: float, T1: float, T2: float, w: float) -> HomogenizationF:
     """Literal indicator pair for the homogenization family, f = min(f1, f2).
 
@@ -195,11 +211,10 @@ def homogenization_f(t: float, T1: float, T2: float, w: float) -> Homogenization
     reported diagnostic, and scans carry it next to the oracle verdict so
     the disagreement is visible rather than silently patched.
     """
-    e1 = math.exp(-t / T1)
-    e2 = math.exp(-t / T2)
-    f1 = (1.0 - w * w) * (1.0 - e1) ** 2 - 4.0 * e2 * e2
-    f2 = 1.0 - e2 - math.sqrt((e1 + e2) ** 2 + w * w * (1.0 - e1) ** 2)
-    return HomogenizationF(f1=f1, f2=f2, f=min(f1, f2))
+    columns = _homogenization(np.array([float(t)]), T1, T2, w)
+    return HomogenizationF(
+        f1=float(columns["f1"][0]), f2=float(columns["f2"][0]), f=float(columns["f"][0])
+    )
 
 
 def homogenization_eb_condition(t: float, T1: float, T2: float, w: float) -> bool:
@@ -209,34 +224,20 @@ def homogenization_eb_condition(t: float, T1: float, T2: float, w: float) -> boo
     and translation w(1 - e^{-t/T1}) into the single-axis criterion; this
     is the authoritative closed-form verdict for the family.
     """
-    e1 = math.exp(-t / T1)
-    e2 = math.exp(-t / T2)
-    return uniaxial_eb_condition(
-        np.array([e2, e2, e1]), w * (1.0 - e1), axis=2
-    )
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """One time sample: canonical singular-value magnitudes and verdicts."""
-
-    t: float
-    lam: tuple[float, float, float]
-    margin: float
-    is_eb: bool
-    f1: float | None = None
-    f2: float | None = None
-    f: float | None = None
-    cf_eb: bool | None = None
+    return bool(_homogenization(np.array([float(t)]), T1, T2, w)["cf_eb"][0])
 
 
 @dataclass(frozen=True)
 class TimeScan:
-    """Uniform time grid of EB diagnostics for one dynamical family."""
+    """Uniform time grid of EB diagnostics for one dynamical family.
+
+    `columns` maps each published column name, in CSV order, to one array
+    over the grid: t, lam1..lam3, margin, is_eb, and for homogenization
+    also f1, f2, f and cf_eb.
+    """
 
     family: DynamicalFamily
-    times: np.ndarray
-    rows: list[ScanRow] = field(repr=False)
+    columns: dict[str, np.ndarray] = field(repr=False)
 
 
 def scan(
@@ -244,7 +245,7 @@ def scan(
 ) -> TimeScan:
     """Sample the family on a uniform grid of `steps` times.
 
-    Homogenization rows additionally carry the f1/f2/f diagnostics and
+    Homogenization scans additionally carry the f1/f2/f diagnostics and
     the closed-form verdict column cf_eb.
     """
     if steps < 2:
@@ -257,46 +258,21 @@ def scan(
         raise NegativeTime(f"t_min must be nonnegative, got {t_min}")
     times = np.linspace(t_min, t_max, steps)
     n, m = _params(family, times)
-    margins = np.empty(steps)
-    is_eb = np.empty(steps, dtype=bool)
-    for start in range(0, steps, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        margins[block], is_eb[block] = _numeric_verdicts(n[block], m[block])
+    margins, is_eb = _numeric_verdicts(n, m)
     # the singular values of `canonical_form`, taken from the same LAPACK
     # call as svd3 makes: without vectors it rounds differently
     lam = np.linalg.svd(m)[1]
-    rows = []
-    for i, t in enumerate(times.tolist()):
-        row = {
-            "t": t,
-            "lam": tuple(lam[i].tolist()),
-            "margin": float(margins[i]),
-            "is_eb": bool(is_eb[i]),
-        }
-        if isinstance(family, Homogenization):
-            fvals = homogenization_f(t, family.T1, family.T2, family.w)
-            row.update(
-                f1=fvals.f1,
-                f2=fvals.f2,
-                f=fvals.f,
-                cf_eb=homogenization_eb_condition(t, family.T1, family.T2, family.w),
-            )
-        rows.append(ScanRow(**row))
-    return TimeScan(family=family, times=times, rows=rows)
-
-
-# published scan columns, shared by the CSV and JSON writers; the last
-# four appear for the homogenization family only
-_COLUMNS = ("t", "lam1", "lam2", "lam3", "margin", "is_eb", "f1", "f2", "f", "cf_eb")
-
-
-def _table(result: TimeScan) -> tuple[tuple[str, ...], list[tuple]]:
-    names = _COLUMNS if isinstance(result.family, Homogenization) else _COLUMNS[:6]
-    rows = [
-        (r.t, *r.lam, r.margin, r.is_eb, r.f1, r.f2, r.f, r.cf_eb)[: len(names)]
-        for r in result.rows
-    ]
-    return names, rows
+    columns = {
+        "t": times,
+        "lam1": lam[:, 0],
+        "lam2": lam[:, 1],
+        "lam3": lam[:, 2],
+        "margin": margins,
+        "is_eb": is_eb,
+    }
+    if isinstance(family, Homogenization):
+        columns.update(_homogenization(times, family.T1, family.T2, family.w))
+    return TimeScan(family, columns)
 
 
 def _cell(value: float | bool) -> str:
@@ -307,8 +283,8 @@ def _cell(value: float | bool) -> str:
 
 def scan_to_csv(result: TimeScan) -> str:
     """Render a scan in the published CSV row format (17 significant digits)."""
-    names, rows = _table(result)
-    lines = [",".join(names)] + [",".join(map(_cell, row)) for row in rows]
+    rows = zip(*(column.tolist() for column in result.columns.values()))
+    lines = [",".join(result.columns)] + [",".join(map(_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -328,8 +304,8 @@ def _family_dict(family: DynamicalFamily) -> dict:
 
 def scan_to_dict(result: TimeScan) -> dict:
     """JSON-ready representation of a scan."""
-    names, rows = _table(result)
+    rows = zip(*(column.tolist() for column in result.columns.values()))
     return {
         **_family_dict(result.family),
-        "rows": [dict(zip(names, row)) for row in rows],
+        "rows": [dict(zip(result.columns, row)) for row in rows],
     }

@@ -7,12 +7,6 @@ boundary semantics are pinned in one place.
 # max |m - m^dagger| entry allowed before a matrix is rejected as non-Hermitian
 HERMITICITY_TOL = 1e-12
 
-# reconstruction residual allowed for factorizations (SVD, canonical form)
-RECON_TOL = 1e-10
-
-# absolute accuracy contract of the Hermitian eigensolver (dim <= 16)
-EIG_TOL = 1e-11
-
 # a channel counts as completely positive when min Choi eigenvalue >= -CP_TOL
 CP_TOL = 1e-10
 

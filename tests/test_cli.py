@@ -315,6 +315,27 @@ def test_non_finite_input_exits_one(argv, tmp_path, capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["amend", "local", "--seed", "1"]])
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--preset", "depolarizing:1e308"],
+        ["--preset", "depolarizing:-1e308"],
+        ["--channel", "{tmp}/huge.json"],
+    ],
+)
+def test_choi_overflow_exits_one(command, source, tmp_path, capsys):
+    # finite parameters whose Choi matrix overflows
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": [1e308, 0, 0], "M": [[1e308, 0, 0], [0, 1e308, 0], [0, 0, 1e308]]}')
+    argv = [*command, *(a.format(tmp=tmp_path) for a in source)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    _assert_one_error_line(err)
+    assert "overflow the Choi matrix" in err
+
+
 def test_amend_local_negative_seed_exits_one(capsys):
     code, _, err = run_cli(
         capsys, "amend", "local", "--preset", "seb-example", "--seed", "-3"

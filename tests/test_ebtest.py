@@ -163,6 +163,21 @@ def test_uniaxial_condition_axis_permutations():
             assert uniaxial_eb_condition(perm, n3, axis=axis) == expected
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_uniaxial_condition_on_a_stack_equals_per_channel_calls(axis):
+    rng = np.random.default_rng(48)
+    lam = rng.uniform(-1.0, 1.0, (3000, 3))
+    n_axis = rng.uniform(-0.6, 0.6, 3000)
+    stacked = uniaxial_eb_condition(lam, n_axis, axis=axis)
+    single = [uniaxial_eb_condition(l, n, axis=axis) for l, n in zip(lam, n_axis)]
+    assert all(type(v) is bool for v in single)
+    assert stacked.dtype == bool and stacked.tolist() == single
+    assert 0 < sum(single) < len(single)
+    # more than one leading axis
+    grid = uniaxial_eb_condition(lam.reshape(30, 100, 3), n_axis.reshape(30, 100), axis)
+    assert np.array_equal(grid, stacked.reshape(30, 100))
+
+
 def test_uniaxial_spectra_reduce_to_unital():
     rng = np.random.default_rng(47)
     for lam in rng.uniform(-1.0, 1.0, (200, 3)):

@@ -148,6 +148,14 @@ def test_stacked_eigenvalues_round_like_the_scalar_sweep():
     )
 
 
+@pytest.mark.parametrize("count", [199, 200, 201, 401])
+def test_stacked_eigenvalues_across_block_edges(count):
+    stack = _random_pt_chois(np.random.default_rng(count), count)
+    assert np.array_equal(
+        hermitian_eigenvalues(stack), [hermitian_eigenvalues(m) for m in stack]
+    )
+
+
 def test_stacked_eigenvalues_edge_shapes():
     assert hermitian_eigenvalues(np.zeros((0, 4, 4))).shape == (0, 4)
     ones = hermitian_eigenvalues(np.full((3, 1, 1), 2.0))

@@ -24,7 +24,7 @@ from ebchannels import (
 from ebchannels import ebtest, markov
 from ebchannels.errors import InvalidParameter, NegativeTime, NotCP
 from ebchannels.linalg import hermitian_eigenvalues
-from ebchannels.tolerances import KNIFE_EDGE_BAND
+from ebchannels.tolerances import CLOSED_FORM_TOL, KNIFE_EDGE_BAND
 
 FAMILIES = [
     Decoherence(T=1.0, omega=5.0),
@@ -148,6 +148,15 @@ def test_homogenization_f_values():
     assert abs(f.f - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("t, T1, T2", [(1.0, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
+def test_homogenization_closed_forms_reject_a_zero_time_constant(t, T1, T2):
+    # an exception, as scalar float division raises, not a warning and a value
+    with pytest.raises(ArithmeticError):
+        homogenization_f(t, T1, T2, 0.5)
+    with pytest.raises(ArithmeticError):
+        homogenization_eb_condition(t, T1, T2, 0.5)
+
+
 def test_homogenization_f_sign_change_along_time():
     # with w = 0.5 and T1 = T2 the indicator starts negative and crosses zero
     values = [homogenization_f(t, 1.0, 1.0, 0.5).f for t in np.linspace(0.01, 8.0, 200)]
@@ -201,29 +210,66 @@ def test_homogenization_condition_antitone_in_w():
 
 
 def test_scan_depolarization_flips_once_at_onset():
-    result = scan(Depolarization(T=1.0), 0.0, 3.0, 301)
-    flags = [row.is_eb for row in result.rows]
+    columns = scan(Depolarization(T=1.0), 0.0, 3.0, 301).columns
+    flags = columns["is_eb"].tolist()
     flips = sum(a != b for a, b in zip(flags, flags[1:]))
     assert flips == 1
-    first_eb = next(row.t for row in result.rows if row.is_eb)
+    first_eb = next(t for t, eb in zip(columns["t"].tolist(), flags) if eb)
     assert abs(first_eb - math.log(3.0)) < 3.0 / 300 + 1e-12
 
 
 def test_scan_decoherence_all_false():
     result = scan(Decoherence(T=1.0, omega=5.0), 0.0, 10.0, 101)
-    assert not any(row.is_eb for row in result.rows)
+    assert not result.columns["is_eb"].any()
 
 
 def test_scan_homogenization_rows_carry_f_columns():
-    result = scan(Homogenization(T1=1.0, T2=1.0, w=0.3), 0.1, 5.0, 40)
-    for row in result.rows:
-        assert row.f1 is not None and row.f == min(row.f1, row.f2)
-        assert row.cf_eb is not None
+    columns = scan(Homogenization(T1=1.0, T2=1.0, w=0.3), 0.1, 5.0, 40).columns
+    assert list(columns)[6:] == ["f1", "f2", "f", "cf_eb"]
+    assert all(len(column) == 40 for column in columns.values())
+    for f1, f2, f in zip(columns["f1"], columns["f2"], columns["f"]):
+        assert f == min(f1, f2)
+    assert columns["cf_eb"].dtype == bool
     # f crosses zero in the scanned region for small w but never for w = 1
-    assert any(row.f > 0 for row in result.rows)
-    pure = scan(Homogenization(T1=1.0, T2=1.0, w=1.0), 0.1, 5.0, 40)
-    assert all(row.f < 0 for row in pure.rows)
-    assert not any(row.is_eb for row in pure.rows)
+    assert (columns["f"] > 0).any()
+    pure = scan(Homogenization(T1=1.0, T2=1.0, w=1.0), 0.1, 5.0, 40).columns
+    assert (pure["f"] < 0).all()
+    assert not pure["is_eb"].any()
+
+
+def _scalar_homogenization(t, T1, T2, w):
+    # the closed forms in scalar Python arithmetic, as written in the paper
+    e1 = math.exp(-t / T1)
+    e2 = math.exp(-t / T2)
+    f1 = (1.0 - w * w) * (1.0 - e1) ** 2 - 4.0 * e2 * e2
+    f2 = 1.0 - e2 - math.sqrt((e1 + e2) ** 2 + w * w * (1.0 - e1) ** 2)
+    n3 = w * (1.0 - e1)
+    lhs = min(1.0 - e1, 1.0 + e1)
+    rhs = max(math.sqrt((e2 + e2) ** 2 + n3 * n3), math.sqrt((e2 - e2) ** 2 + n3 * n3))
+    return f1, f2, min(f1, f2), lhs >= rhs - CLOSED_FORM_TOL
+
+
+def _homogenization_scans():
+    # numpy's array square differs from CPython's x ** 2 in the last bit on
+    # row 276 of the first scan
+    yield Homogenization(T1=3.0, T2=2.5, w=0.5), 5.0
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        T1 = float(rng.uniform(0.3, 3.0))
+        T2 = T1 * float(rng.uniform(0.6, 1.95))
+        w = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        yield Homogenization(T1=T1, T2=T2, w=w), float(rng.uniform(0.5, 50.0))
+
+
+def test_scan_homogenization_columns_equal_the_closed_forms():
+    for family, t_max in _homogenization_scans():
+        columns = scan(family, 0.0, t_max, 301).columns
+        args = (family.T1, family.T2, family.w)
+        for i, t in enumerate(columns["t"].tolist()):
+            fvals = homogenization_f(t, *args)
+            row = (columns["f1"][i], columns["f2"][i], columns["f"][i], columns["cf_eb"][i])
+            assert row == (fvals.f1, fvals.f2, fvals.f, homogenization_eb_condition(t, *args))
+            assert row == _scalar_homogenization(t, *args)
 
 
 def test_scan_validation():
@@ -369,15 +415,18 @@ def test_once_eb_always_eb(family, t, s):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_scan_rows_match_per_row_analysis(family):
-    result = scan(family, 0.0, 6.0, 450)
-    assert len(result.rows) == 450
-    for row in result.rows:
-        phi = channel_at(family, row.t)
+    columns = scan(family, 0.0, 6.0, 450).columns
+    assert all(len(column) == 450 for column in columns.values())
+    lams = np.stack([columns["lam1"], columns["lam2"], columns["lam3"]], axis=1)
+    for t, row_lam, margin, is_eb in zip(
+        columns["t"].tolist(), lams, columns["margin"], columns["is_eb"]
+    ):
+        phi = channel_at(family, t)
         verdict = is_eb_numeric(phi)
-        assert abs(row.margin - verdict.margin) <= 1e-15
-        assert row.is_eb == verdict.is_eb
+        assert abs(margin - verdict.margin) <= 1e-15
+        assert is_eb == verdict.is_eb
         lam = np.abs(canonical_form(phi).lam)
-        assert np.abs(np.array(row.lam) - lam).max() <= 1e-15
+        assert np.abs(row_lam - lam).max() <= 1e-15
 
 
 def test_scan_not_cp_carries_first_bad_row():
