@@ -23,6 +23,7 @@ from . import basis
 from .channel import (
     QubitChannelAffine,
     QuditAffineMap,
+    _choi_pt,
     _rotations,
     apply_qudit_map,
     choi,
@@ -31,9 +32,14 @@ from .channel import (
     unitary_channel,
     validate_cptp,
 )
-from .ebtest import _pt_margins, is_eb_numeric
+from .ebtest import is_eb_numeric
 from .errors import InvalidParameter, NonPositiveOutput, NotCP
-from .linalg import STACK_BLOCK, hermitian_eigenvalues, partial_transpose
+from .linalg import (
+    STACK_BLOCK,
+    _lapack_lowest,
+    hermitian_eigenvalues,
+    partial_transpose,
+)
 from .tolerances import AMEND_TOL, EB_BOUNDARY_TOL, OUTPUT_PSD_TOL
 
 __all__ = [
@@ -127,17 +133,18 @@ class AmendmentReport:
     amended: bool
 
 
-def _interleaved_pt_margins(
+def _interleaved_pt_chois(
     base: QubitChannelAffine, rotations: np.ndarray
 ) -> np.ndarray:
-    # `pt_margin(interleave(base, unitaries))` for a stack of trials, each
-    # row of `rotations` (trials, layers - 1, 3, 3) one trial's rotations
+    # `choi_partial_transpose(interleave(base, unitaries))` for a stack of
+    # trials, each row of `rotations` (trials, layers - 1, 3, 3) one
+    # trial's rotations
     n, m = base.n, base.M
     for layer in range(rotations.shape[1]):
         mu = m @ rotations[:, layer]
         n = n + mu @ base.n
         m = mu @ base.M
-    return _pt_margins(n, m)
+    return _choi_pt(n, m)
 
 
 def local_amendment_search(
@@ -151,6 +158,13 @@ def local_amendment_search(
     draws nor the result.  Fully deterministic for a given seed; the best
     trial is the one with the largest violation, ties broken by lowest
     trial index.
+
+    Every reported number comes from `hermitian_eigenvalues`.  LAPACK
+    only screens: a trial whose LAPACK violation plus its error band
+    falls below a certified lower bound on the best violation cannot
+    win, so it is never handed to the Jacobi sweep.  The candidates are
+    swept in batches of at least STACK_BLOCK, which bounds the memory
+    whatever `trials` is.
     """
     if n_layers < 2:
         raise InvalidParameter(f"n_layers must be at least 2, got {n_layers}")
@@ -161,21 +175,50 @@ def local_amendment_search(
     base_verdict = is_eb_numeric(base)  # raises NotCP for non-CP input
 
     rng = np.random.default_rng(seed)
-    best_violation = -np.inf
+    layers = n_layers - 1
+    # `floor` never exceeds the best Jacobi violation of the whole search:
+    # it is the larger of the best one so far and the largest LAPACK
+    # violation minus its band
+    floor = best_violation = -np.inf
     best_trial = -1
     best_axes = best_angles = ()
-    layers = n_layers - 1
+    # candidate blocks, in trial order: (trials, upper bounds, PT-Choi
+    # matrices, axes, angles)
+    pending: list[tuple[np.ndarray, ...]] = []
+    pending_count = 0
     for start in range(0, trials, STACK_BLOCK):
         block = min(STACK_BLOCK, trials - start)
         axes, angles = _sample_unitaries(rng, block * layers)
         rotations = _rotations(axes, angles).reshape(block, layers, 3, 3)
-        violations = -_interleaved_pt_margins(base, rotations)
+        chois = _interleaved_pt_chois(base, rotations)
+        lowest, delta = _lapack_lowest(chois)
+        floor = max(floor, float(np.max(-lowest - delta)))
+        upper = delta - lowest
+        keep = np.flatnonzero(upper >= floor)
+        pending.append(
+            (
+                start + keep,
+                upper[keep],
+                chois[keep],
+                axes.reshape(block, layers, 3)[keep],
+                angles.reshape(block, layers)[keep],
+            )
+        )
+        pending_count += len(keep)
+        if pending_count < STACK_BLOCK and start + block < trials:
+            continue
+        index, upper, chois, axes, angles = map(np.concatenate, zip(*pending))
+        pending, pending_count = [], 0
+        live = upper >= floor  # the floor may have risen since they joined
+        if not live.any():
+            continue
+        violations = -hermitian_eigenvalues(chois[live])[:, 0]
         i = int(np.argmax(violations))  # the first of equal maxima
         if violations[i] > best_violation:
             best_violation = violations[i]
-            best_trial = start + i
-            chosen = slice(i * layers, (i + 1) * layers)
-            best_axes, best_angles = axes[chosen], angles[chosen]
+            best_trial = int(index[live][i])
+            best_axes, best_angles = axes[live][i], angles[live][i]
+            floor = max(floor, float(best_violation))
     best_unitaries = tuple(
         UnitarySample(axis=tuple(axis), angle=float(angle))
         for axis, angle in zip(best_axes, best_angles)

@@ -110,11 +110,6 @@ def _not_cp(min_choi_eig: float) -> NotCP:
     )
 
 
-def _pt_margins(n: np.ndarray, M: np.ndarray) -> np.ndarray:
-    # `pt_margin` of each channel in a stack: n (k, 3), M (k, 3, 3)
-    return hermitian_eigenvalues(_choi_pt(n, M))[:, 0]
-
-
 def _numeric_verdicts(
     n: np.ndarray, M: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +119,7 @@ def _numeric_verdicts(
     not_cp = np.flatnonzero(choi_min < -CP_TOL)
     if len(not_cp):
         raise _not_cp(float(choi_min[not_cp[0]]))
-    margins = _pt_margins(n, M)
+    margins = hermitian_eigenvalues(_choi_pt(n, M))[:, 0]
     return margins, margins >= -EB_BOUNDARY_TOL
 
 
@@ -159,7 +154,8 @@ def unital_spectra(lam) -> tuple[np.ndarray, np.ndarray]:
 def unital_eb_condition(lam) -> bool:
     """Unital channels are EB iff |l1| + |l2| + |l3| <= 1."""
     lam = np.asarray(lam, dtype=float).reshape(3)
-    return bool(float(np.abs(lam).sum()) <= 1.0 + CLOSED_FORM_TOL)
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf: not EB
+        return bool(float(np.abs(lam).sum()) <= 1.0 + CLOSED_FORM_TOL)
 
 
 def unital_eb_condition_minmax(lam) -> bool:

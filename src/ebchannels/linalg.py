@@ -226,6 +226,26 @@ def _not_converged() -> ConvergenceFailure:
     )
 
 
+def _lapack_lowest(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # LAPACK's smallest eigenvalue of each matrix of an exactly Hermitian
+    # (N, n, n) stack, and a band delta = 64 n eps ||H||_F around it that
+    # holds the smallest eigenvalue `hermitian_eigenvalues` returns.
+    # Both solvers are backward stable: each returns the exact eigenvalues
+    # of some H + E with ||E||_2 <= c n eps ||H||_2 (Householder
+    # tridiagonalization with implicit QL/QR for eigvalsh; a sweep of
+    # exactly unitary rotations for Jacobi, whose flushed pivots move H by
+    # at most 1e-18 of a diagonal pair).  By Weyl's inequality each
+    # computed eigenvalue is within ||E||_2 of the exact one, so the two
+    # differ by at most (c_lapack + c_jacobi) n eps ||H||_2, and ||H||_2 <=
+    # ||H||_F.  64 stands for the sum of the two constants; the largest
+    # difference measured on 4x4 PT-Choi matrices is 5.4 eps ||H||_F.
+    # Only the search screen of `amend` reads this: no published number
+    # comes from LAPACK.
+    lowest = np.linalg.eigvalsh(h)[:, 0]
+    delta = 64.0 * h.shape[-1] * np.finfo(float).eps * np.linalg.norm(h, axis=(1, 2))
+    return lowest, delta
+
+
 def svd3(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """SVD of a real 3x3 matrix with both factors special-orthogonal.
 
@@ -250,7 +270,9 @@ def svd3(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         vt = vt.copy()
         vt[2, :] = -vt[2, :]
         sign = -sign
-    if np.linalg.det(m) == 0.0:
+    # slogdet reads singularity off the LU factors, as det does, but does
+    # not overflow for entries near the float range
+    if np.linalg.slogdet(m)[0] == 0.0:
         sign = 1.0
     return u, s, vt.T, sign
 

@@ -16,7 +16,12 @@ purpose, from the repository root:
     PYTHONPATH=src python tests/golden/regen.py
 
 `--seed N --out PATH` writes the hashes of another seed's pools elsewhere,
-to compare two checkouts beyond the checked-in seed.
+to compare two checkouts beyond the checked-in seed.  `--seed` may repeat;
+with several seeds each key starts with its seed, so one command per
+checkout and a `cmp` of the two files compare seeds 101-105:
+
+    PYTHONPATH=src python tests/golden/regen.py --seed 101 --seed 102 \
+        --seed 103 --seed 104 --seed 105 --out /tmp/seeds.json
 """
 
 from __future__ import annotations
@@ -109,12 +114,22 @@ def replay(seed: int, work: Path) -> dict[str, str]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=SEED)
+    parser.add_argument("--seed", type=int, action="append")
     parser.add_argument("--out", type=Path, default=GOLDEN)
     args = parser.parse_args()
-    with tempfile.TemporaryDirectory() as tmp:
-        hashes = replay(args.seed, Path(tmp))
-    record = {"numpy": np.__version__, "seed": args.seed, "ops": hashes}
+    seeds = args.seed or [SEED]
+    if len(seeds) > 1 and args.out == GOLDEN:
+        parser.error(f"several seeds need an --out other than {GOLDEN}")
+    hashes = {}
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as tmp:
+            replayed = replay(seed, Path(tmp))
+        prefix = f"{seed}:" if len(seeds) > 1 else ""
+        hashes.update({prefix + key: value for key, value in replayed.items()})
+    if len(seeds) > 1:
+        record = {"numpy": np.__version__, "seeds": seeds, "ops": hashes}
+    else:
+        record = {"numpy": np.__version__, "seed": seeds[0], "ops": hashes}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"{len(hashes)} ops -> {args.out}")
 

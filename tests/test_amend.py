@@ -2,14 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebchannels import (
     QubitChannelAffine,
     QuditAffineMap,
     UnitarySample,
     builtin_global_amendment_map,
+    amend,
     choi,
     compose,
+    depolarizing_channel,
     diagonal_channel,
     global_amendment_example,
     identity_channel,
@@ -21,9 +25,17 @@ from ebchannels import (
     seb_example_channel,
 )
 from ebchannels.amend import REFERENCE_AMENDED_STATE
+from ebchannels.channel import _choi_pt, _rotations
 from ebchannels.cli import amendment_report_dict
 from ebchannels.errors import InvalidParameter, NonPositiveOutput, NotCP
-from ebchannels.linalg import partial_transpose
+from ebchannels.linalg import (
+    STACK_BLOCK,
+    _lapack_lowest,
+    hermitian_eigenvalues,
+    partial_transpose,
+)
+from ebchannels.tolerances import AMEND_TOL
+from helpers import random_cptp_channel
 
 
 def test_interleave_empty_is_base():
@@ -211,3 +223,126 @@ def test_local_search_matches_trial_by_trial_loop(trials):
     assert report.best_trial == best_trial
     assert abs(report.best_margin - best_violation) <= 1e-14
     assert report.base_is_eb and not report.amended
+
+
+def _unfiltered_search(base, n_layers, trials, seed):
+    # the search with every trial through the Jacobi sweep: the same draws,
+    # blocks and composites, the first strict maximum taken trial by trial
+    rng = np.random.default_rng(seed)
+    layers = n_layers - 1
+    best_violation, best_trial, best_unitaries = -np.inf, -1, ()
+    for start in range(0, trials, STACK_BLOCK):
+        block = min(STACK_BLOCK, trials - start)
+        axes, angles = amend._sample_unitaries(rng, block * layers)
+        rotations = _rotations(axes, angles).reshape(block, layers, 3, 3)
+        chois = amend._interleaved_pt_chois(base, rotations)
+        violations = -hermitian_eigenvalues(chois)[:, 0]
+        for i, violation in enumerate(violations):
+            if violation > best_violation:
+                best_violation, best_trial = violation, start + i
+                chosen = slice(i * layers, (i + 1) * layers)
+                best_unitaries = tuple(
+                    UnitarySample(axis=tuple(axis), angle=float(angle))
+                    for axis, angle in zip(axes[chosen], angles[chosen])
+                )
+    return best_violation, best_trial, best_unitaries
+
+
+def _assert_matches_unfiltered(base, n_layers, trials, seed):
+    report = local_amendment_search(base, n_layers, trials, seed)
+    violation, trial, unitaries = _unfiltered_search(base, n_layers, trials, seed)
+    assert (report.best_trial, report.best_unitaries) == (trial, unitaries)
+    assert float(violation).hex() == report.best_margin.hex()
+    assert float(-violation).hex() == report.best_pt_min_eig.hex()
+    assert report.amended == bool(report.base_is_eb and violation > AMEND_TOL)
+
+
+_NAMED_BASES = {
+    "seb-example": seb_example_channel(),
+    "depolarizing-third": depolarizing_channel(1.0 / 3.0),
+    "depolarizing-0.3": depolarizing_channel(0.3),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("n_layers", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(_NAMED_BASES))
+def test_screened_search_equals_unfiltered_on_named_bases(name, n_layers, seed):
+    # depolarizing trials tie exactly, so only the tie rule picks their winner
+    for trials in (1, 199, 200, 201, 401, 1000):
+        _assert_matches_unfiltered(_NAMED_BASES[name], n_layers, trials, seed)
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_screened_search_equals_unfiltered_on_random_bases(case):
+    base = random_cptp_channel(np.random.default_rng(900 + case))
+    trials = (1, 199, 200, 201, 401, 1000)[case % 6]
+    _assert_matches_unfiltered(base, 2 + case % 3, trials, seed=case)
+
+
+def _replaying_stack(monkeypatch, stack):
+    # the search's composites replaced by `stack`, block by block
+    offset = 0
+
+    def chois(base, rotations):
+        nonlocal offset
+        offset += len(rotations)
+        return stack[offset - len(rotations) : offset]
+
+    monkeypatch.setattr(amend, "_interleaved_pt_chois", chois)
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 450),
+    spread=st.sampled_from([0.0, 1e-3, 1.0, 3.0]),
+)
+def test_screen_keeps_the_first_jacobi_argmax_of_near_ties(seed, count, spread):
+    # one channel between random rotations, whose PT-Choi matrices share a
+    # spectrum up to rounding, some shifted by up to `spread` times their
+    # band: the minima tie to a few ulps or lie within the band of each other
+    rng = np.random.default_rng(seed)
+    base = random_cptp_channel(rng)
+    axes = rng.standard_normal((2 * count, 3))
+    rotations = _rotations(
+        axes / np.linalg.norm(axes, axis=1)[:, None],
+        rng.uniform(0.0, 2.0 * np.pi, 2 * count),
+    ).reshape(2, count, 3, 3)
+    chois = _choi_pt(rotations[0] @ base.n, rotations[0] @ base.M @ rotations[1])
+    _, delta = _lapack_lowest(chois)
+    shift = np.where(rng.random(count) < 0.5, 0.0, rng.uniform(-spread, spread, count))
+    stack = chois + (shift * delta)[:, None, None] * np.eye(4)
+    violations = -hermitian_eigenvalues(stack)[:, 0]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _replaying_stack(monkeypatch, stack)
+        report = local_amendment_search(base, n_layers=2, trials=count, seed=seed)
+    assert report.best_trial == int(np.argmax(violations))
+    assert report.best_margin == violations.max()
+
+
+def _jacobi_rows(monkeypatch):
+    # how many matrices the search hands to the Jacobi sweep
+    rows = []
+
+    def counting(m):
+        rows.append(len(m))
+        return hermitian_eigenvalues(m)
+
+    monkeypatch.setattr(amend, "hermitian_eigenvalues", counting)
+    return rows
+
+
+def test_readme_search_sweeps_few_trials(monkeypatch):
+    rows = _jacobi_rows(monkeypatch)
+    report = local_amendment_search(seb_example_channel(), n_layers=3, trials=1000, seed=7)
+    assert not report.amended
+    assert 1 <= sum(rows) <= 5
+
+
+def test_tie_base_search_sweeps_every_trial(monkeypatch):
+    # every interleaving of a depolarizing base has the same spectrum, so no
+    # trial can be ruled out until the tie rule treats near-equal ones alike
+    rows = _jacobi_rows(monkeypatch)
+    local_amendment_search(depolarizing_channel(1.0 / 3.0), n_layers=3, trials=1000, seed=7)
+    assert sum(rows) == 1000

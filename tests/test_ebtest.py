@@ -239,6 +239,15 @@ def test_closed_form_dispatcher():
     assert method is None and is_eb is None
 
 
+@pytest.mark.parametrize("p", [1e308, -1e308])
+def test_closed_form_near_the_float_range_does_not_warn(p):
+    # det(M) overflows here; RuntimeWarnings are errors in this suite
+    phi = depolarizing_channel(p)
+    canon = canonical_form(phi)
+    assert np.array_equal(canon.lam, [1e308, 1e308, p])
+    assert closed_form_verdict(phi) == (EBMethod.UNITAL_CLOSED_FORM, False)
+
+
 def test_classify_seb():
     assert classify_seb(seb_example_channel()) is SEBClass.SEB_RANK_DEFICIENT
     assert classify_seb(identity_channel()) is SEBClass.NOT_EB

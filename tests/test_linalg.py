@@ -13,7 +13,13 @@ from ebchannels import (
     linalg,
 )
 from ebchannels.errors import ConvergenceFailure, DimensionMismatch, NotHermitian
-from ebchannels.linalg import hermitian_eigenvalues, kron, partial_transpose, svd3
+from ebchannels.linalg import (
+    _lapack_lowest,
+    hermitian_eigenvalues,
+    kron,
+    partial_transpose,
+    svd3,
+)
 
 
 def test_eigenvalues_diagonal():
@@ -236,6 +242,40 @@ def test_stacked_eigenvalues_match_high_precision(matrices):
         assert abs(got - exact) <= 1e-6 * abs(exact)
 
 
+def _assert_within_band(stack):
+    lowest, delta = _lapack_lowest(stack)
+    jacobi = hermitian_eigenvalues(stack)[:, 0]
+    assert np.all(np.abs(lowest - jacobi) <= delta)
+
+
+def test_lapack_band_holds_on_random_pt_chois():
+    _assert_within_band(_random_pt_chois(np.random.default_rng(22), 2000))
+
+
+def test_lapack_band_holds_on_long_time_decoherence():
+    # margins near -exp(-50) / 2, some 1e-22, far inside the band
+    rng = np.random.default_rng(23)
+    _assert_within_band(
+        np.stack(
+            [
+                choi_partial_transpose(channel_at(Decoherence(T=T, omega=omega), 50.0))
+                for T, omega in zip(rng.uniform(0.5, 5.0, 200), rng.uniform(0.0, 20.0, 200))
+            ]
+        )
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_lapack_band_scales_with_the_norm(scale):
+    _assert_within_band(scale * _random_pt_chois(np.random.default_rng(24), 500))
+
+
+@settings(max_examples=40)
+@given(st.lists(_near_singular_pt_choi, min_size=1, max_size=3))
+def test_lapack_band_holds_near_singular(matrices):
+    _assert_within_band(np.stack(matrices))
+
+
 def test_svd3_identity():
     u, s, v, sign = svd3(np.eye(3))
     assert np.allclose(u, np.eye(3))
@@ -271,6 +311,15 @@ def test_svd3_sign_matches_determinant():
         m = rng.uniform(-1.0, 1.0, (3, 3))
         *_, sign = svd3(m)
         assert sign == (1.0 if np.linalg.det(m) >= 0 else -1.0)
+
+
+def test_svd3_sign_near_the_float_range():
+    # det itself overflows here; the sign must not, nor warn
+    for diagonal, want in (([1e308, 1e308, 1e308], 1.0), ([1e308, -1e308, 1e308], -1.0)):
+        u, s, v, sign = svd3(np.diag(diagonal))
+        assert sign == want
+        assert np.array_equal(s, [1e308] * 3)
+    assert svd3(np.diag([1e308, 1e308, 0.0]))[3] == 1.0
 
 
 def test_svd3_rejects_non_finite():
