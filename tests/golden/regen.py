@@ -15,13 +15,20 @@ purpose, from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py
 
+The `edge` group holds seed-independent ops below the pools' sizes:
+short `markov` scans of grids whose margins underflow to exact zeros, and
+short `amend local` searches on a strong-EB, a tie and an identity base.
+
 `--seed N --out PATH` writes the hashes of another seed's pools elsewhere,
 to compare two checkouts beyond the checked-in seed.  `--seed` may repeat;
 with several seeds each key starts with its seed, so one command per
-checkout and a `cmp` of the two files compare seeds 101-105:
+checkout compares seeds 101-105, and `--against` names the ops whose
+hashes differ from a file written in the other checkout:
 
     PYTHONPATH=src python tests/golden/regen.py --seed 101 --seed 102 \
         --seed 103 --seed 104 --seed 105 --out /tmp/seeds.json
+    PYTHONPATH=src python tests/golden/regen.py --seed 101 --seed 102 \
+        --seed 103 --seed 104 --seed 105 --against /tmp/seeds.json
 """
 
 from __future__ import annotations
@@ -65,6 +72,27 @@ README_COMMANDS = (
     "ebchan amend global-example",
 )
 
+# short scans and searches: grids past exp underflow, whose margins are
+# exact zeros, and trial counts around a few powers of two
+EDGE_FAMILIES = (
+    "--family decoherence --t-max 3000",
+    "--family depolarization --t-max 1000",
+    "--family homogenization --w 1.0 --t-max 2000",
+)
+EDGE_STEPS = (2, 3, 5, 15, 16, 17)
+EDGE_PRESETS = ("seb-example", "depolarizing:0.3333333333333333", "identity")
+EDGE_TRIALS = (1, 2, 15, 16, 17, 40)
+EDGE_COMMANDS = tuple(
+    f"ebchan markov {family} --steps {steps} --format {fmt} --output edge.{fmt}"
+    for family in EDGE_FAMILIES
+    for steps in EDGE_STEPS
+    for fmt in ("csv", "json")
+) + tuple(
+    f"ebchan amend local --preset {preset} --trials {trials} --seed 5"
+    for preset in EDGE_PRESETS
+    for trials in EDGE_TRIALS
+)
+
 
 def ops(seed: int, work: Path) -> dict[str, list[str]]:
     """argv of every op by key, with their input files written to `work`."""
@@ -78,8 +106,9 @@ def ops(seed: int, work: Path) -> dict[str, list[str]]:
         for i, op in enumerate(load.ops):
             argvs[f"{name}/{i:03d}-{op.kind}"] = list(op.argv)
     (work / "my_channel.json").write_text(README_CHANNEL, encoding="utf-8")
-    for command in README_COMMANDS:
-        argvs[f"readme/{command}"] = shlex.split(command)[1:]
+    for group, commands in (("readme", README_COMMANDS), ("edge", EDGE_COMMANDS)):
+        for command in commands:
+            argvs[f"{group}/{command}"] = shlex.split(command)[1:]
     return argvs
 
 
@@ -112,12 +141,23 @@ def replay(seed: int, work: Path) -> dict[str, str]:
         os.chdir(cwd)
 
 
-def main() -> None:
+def differing(hashes: dict[str, str], record: dict) -> list[str]:
+    """Keys whose hash differs from `record`'s, or that only one side has."""
+    other = record["ops"]
+    return sorted(k for k in hashes.keys() | other.keys() if hashes.get(k) != other.get(k))
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, action="append")
-    parser.add_argument("--out", type=Path, default=GOLDEN)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument(
+        "--against", type=Path, help="print the keys whose hashes differ from this file"
+    )
     args = parser.parse_args()
     seeds = args.seed or [SEED]
+    if args.out is None and args.against is None:
+        args.out = GOLDEN
     if len(seeds) > 1 and args.out == GOLDEN:
         parser.error(f"several seeds need an --out other than {GOLDEN}")
     hashes = {}
@@ -130,9 +170,17 @@ def main() -> None:
         record = {"numpy": np.__version__, "seeds": seeds, "ops": hashes}
     else:
         record = {"numpy": np.__version__, "seed": seeds[0], "ops": hashes}
-    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(hashes)} ops -> {args.out}")
+    if args.out is not None:
+        args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        print(f"{len(hashes)} ops -> {args.out}")
+    if args.against is None:
+        return 0
+    changed = differing(hashes, json.loads(args.against.read_text(encoding="utf-8")))
+    for key in changed:
+        print(key)
+    print(f"{len(changed)} of {len(hashes)} ops differ from {args.against}")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,7 +11,7 @@ import pytest
 from golden import regen
 
 GOLDEN = json.loads(regen.GOLDEN.read_text(encoding="utf-8"))
-GROUPS = ("analyze-mix", "markov-scan", "amend-search", "readme")
+GROUPS = ("analyze-mix", "markov-scan", "amend-search", "readme", "edge")
 
 
 @pytest.fixture(scope="module")
