@@ -162,9 +162,9 @@ def local_amendment_search(
     Every reported number comes from `hermitian_eigenvalues`.  LAPACK
     only screens: a trial whose LAPACK violation plus its error band
     falls below a certified lower bound on the best violation cannot
-    win, so it is never handed to the Jacobi sweep.  The candidates are
-    swept in batches of at least STACK_BLOCK, which bounds the memory
-    whatever `trials` is.
+    win, so it is never handed to the Jacobi sweep.  Each block of
+    STACK_BLOCK trials is drawn, screened and swept before the next, so
+    the memory is one block whatever `trials` is.
     """
     if n_layers < 2:
         raise InvalidParameter(f"n_layers must be at least 2, got {n_layers}")
@@ -182,10 +182,6 @@ def local_amendment_search(
     floor = best_violation = -np.inf
     best_trial = -1
     best_axes = best_angles = ()
-    # candidate blocks, in trial order: (trials, upper bounds, PT-Choi
-    # matrices, axes, angles)
-    pending: list[tuple[np.ndarray, ...]] = []
-    pending_count = 0
     for start in range(0, trials, STACK_BLOCK):
         block = min(STACK_BLOCK, trials - start)
         axes, angles = _sample_unitaries(rng, block * layers)
@@ -193,31 +189,16 @@ def local_amendment_search(
         chois = _interleaved_pt_chois(base, rotations)
         lowest, delta = _lapack_lowest(chois)
         floor = max(floor, float(np.max(-lowest - delta)))
-        upper = delta - lowest
-        keep = np.flatnonzero(upper >= floor)
-        pending.append(
-            (
-                start + keep,
-                upper[keep],
-                chois[keep],
-                axes.reshape(block, layers, 3)[keep],
-                angles.reshape(block, layers)[keep],
-            )
-        )
-        pending_count += len(keep)
-        if pending_count < STACK_BLOCK and start + block < trials:
+        keep = np.flatnonzero(delta - lowest >= floor)
+        if not len(keep):
             continue
-        index, upper, chois, axes, angles = map(np.concatenate, zip(*pending))
-        pending, pending_count = [], 0
-        live = upper >= floor  # the floor may have risen since they joined
-        if not live.any():
-            continue
-        violations = -hermitian_eigenvalues(chois[live])[:, 0]
+        violations = -hermitian_eigenvalues(chois[keep])[:, 0]
         i = int(np.argmax(violations))  # the first of equal maxima
         if violations[i] > best_violation:
             best_violation = violations[i]
-            best_trial = int(index[live][i])
-            best_axes, best_angles = axes[live][i], angles[live][i]
+            best_trial = start + int(keep[i])
+            best_axes = axes.reshape(block, layers, 3)[keep[i]]
+            best_angles = angles.reshape(block, layers)[keep[i]]
             floor = max(floor, float(best_violation))
     best_unitaries = tuple(
         UnitarySample(axis=tuple(axis), angle=float(angle))

@@ -22,7 +22,6 @@ from .channel import (
     _choi_pt,
     canonical_form,
     choi_partial_transpose,
-    validate_cptp,
 )
 from .errors import NotCP, PreconditionViolated
 from .linalg import _squares, hermitian_eigenvalues
@@ -91,36 +90,26 @@ def pt_margin(phi: QubitChannelAffine) -> float:
 
 def is_eb_numeric(phi: QubitChannelAffine) -> EBVerdict:
     """Numeric PPT verdict.  Raises NotCP for non-CP input."""
-    report = validate_cptp(phi)
-    if not report.is_cp:
-        raise _not_cp(report.min_choi_eig)
-    margin = pt_margin(phi)
+    choi_min, margin = map(float, _numeric_verdicts(phi.n, phi.M))
     return EBVerdict(
         is_eb=margin >= -EB_BOUNDARY_TOL,
         margin=margin,
-        choi_min_eig=report.min_choi_eig,
+        choi_min_eig=choi_min,
         method=EBMethod.NUMERIC_PPT,
-    )
-
-
-def _not_cp(min_choi_eig: float) -> NotCP:
-    return NotCP(
-        f"channel is not CP: min Choi eigenvalue {min_choi_eig:.3e}",
-        min_eig=min_choi_eig,
     )
 
 
 def _numeric_verdicts(
     n: np.ndarray, M: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    # margins and EB flags of `is_eb_numeric` for a stack of channels,
-    # raising its NotCP for the first non-CP one
-    choi_min = hermitian_eigenvalues(_choi(n, M))[:, 0]
+    # smallest Choi and PT-Choi eigenvalues of one channel (n, M) or of a
+    # stack (leading axes), raising NotCP for the first non-CP one
+    choi_min = hermitian_eigenvalues(_choi(n, M))[..., 0]
     not_cp = np.flatnonzero(choi_min < -CP_TOL)
     if len(not_cp):
-        raise _not_cp(float(choi_min[not_cp[0]]))
-    margins = hermitian_eigenvalues(_choi_pt(n, M))[:, 0]
-    return margins, margins >= -EB_BOUNDARY_TOL
+        bad = float(np.ravel(choi_min)[not_cp[0]])
+        raise NotCP(f"channel is not CP: min Choi eigenvalue {bad:.3e}", min_eig=bad)
+    return choi_min, hermitian_eigenvalues(_choi_pt(n, M))[..., 0]
 
 
 def unital_spectra(lam) -> tuple[np.ndarray, np.ndarray]:

@@ -29,6 +29,10 @@ _REL_PIVOT_SKIP = 1e-18
 # per-sweep overhead, small enough to bound the working memory
 STACK_BLOCK = 200
 
+# shortest stack worth the vectorized sweep: its per-sweep overhead is
+# ~2 ms, about what the scalar sweep takes for 16-24 4x4 PT-Choi matrices
+_VECTOR_MIN = 16
+
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, or of each matrix in a stack.
@@ -39,12 +43,12 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     entry of m - m^dagger); it is symmetrized before iterating so the
     rotations act on an exactly Hermitian matrix.
 
-    A single matrix is swept in scalar arithmetic; a stack is swept
-    vectorized across blocks of STACK_BLOCK (200) matrices, one block
-    after the other.  Each matrix takes the same pivot decisions and the
-    same rounding as it would on its own, so the block size changes no
-    digit and both paths give the same eigenvalues (zeros may differ in
-    sign).
+    A single matrix, and a stack shorter than _VECTOR_MIN, is swept in
+    scalar arithmetic, one matrix after the other; a longer stack is
+    swept vectorized across blocks of STACK_BLOCK (200) matrices.  Each
+    matrix takes the same pivot decisions and the same rounding on either
+    sweep, so the route and the block size change no digit and no sign
+    of zero.
 
     Raises:
         NotHermitian: if the Hermiticity pre-check fails for any matrix.
@@ -65,11 +69,11 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
             f"matrix is not Hermitian: max |m - m^dagger| = {deviation:.3e} "
             f"exceeds {HERMITICITY_TOL:.0e}"
         )
-    if m.shape[-1] == 1:
-        return m[..., 0].real.copy()
     h = (m + m_dagger) / 2.0
     if m.ndim == 2:
         return _jacobi(h.tolist())
+    if len(h) < _VECTOR_MIN:
+        return np.array([_jacobi(x) for x in h.tolist()]).reshape(m.shape[:2])
     out = np.empty(m.shape[:2])
     for start in range(0, len(h), STACK_BLOCK):
         block = slice(start, start + STACK_BLOCK)
@@ -169,11 +173,10 @@ def _jacobi_stack(h: np.ndarray) -> np.ndarray:
 
 def _rotate(h, p, q, r) -> None:
     # `_jacobi`'s rotation at pivot (p, q) of every matrix in the stack,
-    # rounded as CPython rounds it, so only the signs of zeros may differ
-    # from the scalar sweep.  numpy may fuse the multiply and add of a
-    # complex product, so w * v is formed as re(w) * v + (i im(w)) * v:
-    # with one factor real or imaginary each product rounds once, fused or
-    # not.  math.hypot stands in for numpy's hypot, which differs in the
+    # rounded as CPython rounds it.  numpy may fuse the multiply and add
+    # of a complex product, so w * v is formed as re(w) * v + (i im(w)) *
+    # v: with one factor real or imaginary each product rounds once, fused
+    # or not.  math.hypot stands in for numpy's hypot, which differs in the
     # last bit; np.hypot(re, im) matches abs().
     apq = h[p, q]
     tau = (h[q, q].real - h[p, p].real) / (2.0 * r)

@@ -18,6 +18,7 @@ from .channel import QubitChannelAffine
 from .ebtest import _numeric_verdicts, pt_margin, uniaxial_eb_condition
 from .errors import InvalidParameter, NegativeTime
 from .linalg import _elementwise, _squares
+from .tolerances import EB_BOUNDARY_TOL
 
 __all__ = [
     "Decoherence",
@@ -258,7 +259,7 @@ def scan(
         raise NegativeTime(f"t_min must be nonnegative, got {t_min}")
     times = np.linspace(t_min, t_max, steps)
     n, m = _params(family, times)
-    margins, is_eb = _numeric_verdicts(n, m)
+    margins = _numeric_verdicts(n, m)[1]
     # the singular values of `canonical_form`, taken from the same LAPACK
     # call as svd3 makes: without vectors it rounds differently
     lam = np.linalg.svd(m)[1]
@@ -268,7 +269,7 @@ def scan(
         "lam2": lam[:, 1],
         "lam3": lam[:, 2],
         "margin": margins,
-        "is_eb": is_eb,
+        "is_eb": margins >= -EB_BOUNDARY_TOL,
     }
     if isinstance(family, Homogenization):
         columns.update(_homogenization(times, family.T1, family.T2, family.w))

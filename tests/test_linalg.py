@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 from ebchannels import (
     Decoherence,
+    Depolarization,
     Homogenization,
     QubitChannelAffine,
     channel_at,
+    choi,
     choi_partial_transpose,
+    diagonal_channel,
     linalg,
 )
 from ebchannels.errors import ConvergenceFailure, DimensionMismatch, NotHermitian
@@ -20,6 +23,35 @@ from ebchannels.linalg import (
     partial_transpose,
     svd3,
 )
+
+
+def _padded(matrices):
+    # the matrices, followed by diagonal ones that converge without a
+    # rotation, up to the shortest stack that takes the vectorized sweep
+    matrices = np.asarray(matrices, dtype=complex)
+    n = matrices.shape[-1]
+    pad = np.diag(np.arange(1.0, n + 1.0))
+    return np.concatenate(
+        [matrices, np.repeat(pad[None], max(linalg._VECTOR_MIN - len(matrices), 0), axis=0)]
+    )
+
+
+@pytest.fixture
+def stack_sweeps(monkeypatch):
+    # the number of matrices handed to each vectorized sweep
+    counts = []
+    sweep = linalg._jacobi_stack
+
+    def counting(h):
+        counts.append(len(h))
+        return sweep(h)
+
+    monkeypatch.setattr(linalg, "_jacobi_stack", counting)
+    return counts
+
+
+def _hex(values):
+    return [[float(v).hex() for v in row] for row in np.atleast_2d(values)]
 
 
 def test_eigenvalues_diagonal():
@@ -91,7 +123,7 @@ def test_eigenvalues_unitary_invariance():
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
-def test_eigenvalues_keep_tiny_block_signs(stacked):
+def test_eigenvalues_keep_tiny_block_signs(stacked, stack_sweeps):
     # eigenvalues far below the matrix norm must keep their sign: this is
     # what long-time channel margins look like
     w = 1e-22
@@ -105,8 +137,9 @@ def test_eigenvalues_keep_tiny_block_signs(stacked):
         dtype=complex,
     )
     if stacked:
-        # next to a matrix that converges without a rotation
-        ev = hermitian_eigenvalues(np.stack([np.diag([1.0, 2.0, 3.0, 4.0]), m]))[1]
+        # after matrices that converge without a rotation
+        ev = hermitian_eigenvalues(_padded([m])[::-1])[-1]
+        assert stack_sweeps == [linalg._VECTOR_MIN]
     else:
         ev = hermitian_eigenvalues(m)
     assert ev[0] < 0.0
@@ -138,7 +171,7 @@ def test_stacked_eigenvalues_match_per_matrix():
 
 def test_stacked_eigenvalues_round_like_the_scalar_sweep():
     # the same floating-point operations per matrix, so batching changes no
-    # published digit (zeros may differ in sign only, which == ignores)
+    # published digit
     family = Homogenization(T1=1.3, T2=0.6, w=0.7, omega=4.0)
     stack = np.concatenate(
         [
@@ -149,8 +182,8 @@ def test_stacked_eigenvalues_round_like_the_scalar_sweep():
             ],
         ]
     )
-    assert np.array_equal(
-        hermitian_eigenvalues(stack), [hermitian_eigenvalues(m) for m in stack]
+    assert _hex(hermitian_eigenvalues(stack)) == _hex(
+        [hermitian_eigenvalues(m) for m in stack]
     )
 
 
@@ -162,10 +195,74 @@ def test_stacked_eigenvalues_across_block_edges(count):
     )
 
 
-def test_stacked_eigenvalues_edge_shapes():
+def test_stacked_eigenvalues_edge_shapes(stack_sweeps):
     assert hermitian_eigenvalues(np.zeros((0, 4, 4))).shape == (0, 4)
-    ones = hermitian_eigenvalues(np.full((3, 1, 1), 2.0))
-    assert np.array_equal(ones, np.full((3, 1), 2.0))
+    count = linalg._VECTOR_MIN
+    ones = hermitian_eigenvalues(np.full((count, 1, 1), 2.0))
+    assert np.array_equal(ones, np.full((count, 1), 2.0))
+    assert stack_sweeps == [count]
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_short_stacks_take_the_scalar_sweep(n, stack_sweeps):
+    rng = np.random.default_rng(25)
+    for count in range(linalg._VECTOR_MIN):
+        b = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        stack = b + b.conj().swapaxes(1, 2)
+        got = hermitian_eigenvalues(stack)
+        want = [hermitian_eigenvalues(m) for m in stack]
+        assert np.array_equal(got, np.reshape(want, (count, n)))
+    assert stack_sweeps == []
+    hermitian_eigenvalues(np.stack([np.eye(n)] * linalg._VECTOR_MIN))
+    assert stack_sweeps == [linalg._VECTOR_MIN]
+
+
+def _signed_zero_stack():
+    # 4x4 matrices with exact zeros of either sign among their entries,
+    # and many exact zero eigenvalues
+    signed = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0]
+    rng = np.random.default_rng(26)
+    chois = []
+    for _ in range(300):
+        phi = diagonal_channel(rng.choice(signed, 3), rng.choice(signed, 3) * 0.5)
+        chois += [choi(phi), choi_partial_transpose(phi)]
+    # family grids past exp underflow: the margins are exact zeros
+    for family, t_max in (
+        (Decoherence(T=1.0), 3000.0),
+        (Depolarization(T=1.0), 1000.0),
+        (Homogenization(T1=1.0, T2=1.0, w=1.0), 2000.0),
+    ):
+        for t in np.linspace(0.0, t_max, 17):
+            phi = channel_at(family, t)
+            chois += [choi(phi), choi_partial_transpose(phi)]
+    # sparse Hermitian matrices with exact (signed) zeros
+    for _ in range(300):
+        n = int(rng.integers(2, 5))
+        values = rng.choice(signed, (n, n)) + 1j * rng.choice(signed, (n, n))
+        a = np.where(rng.random((n, n)) < 0.6, rng.choice([0.0, -0.0], (n, n)), values)
+        h = np.triu(a, 1)
+        lower = np.tril_indices(n, -1)
+        h[lower] = h.conj().T[lower]  # assigned, not added: keeps each -0.0
+        np.fill_diagonal(h, rng.choice(signed, n))
+        chois.append(np.pad(h, ((0, 4 - n), (0, 4 - n))))
+    return np.array(chois, dtype=complex)
+
+
+def test_both_sweeps_agree_on_signed_zeros(stack_sweeps):
+    stack = _signed_zero_stack()
+    parts = np.concatenate([stack.real.ravel(), stack.imag.ravel()])
+    assert np.signbit(parts[parts == 0.0]).any()
+    # the published route: symmetrized, then swept vectorized or one by one
+    stacked = hermitian_eigenvalues(stack)
+    assert sum(stack_sweeps) == len(stack)
+    assert (stacked == 0.0).sum() > 100
+    assert _hex(stacked) == _hex([hermitian_eigenvalues(m) for m in stack])
+    # the two sweeps on the unsymmetrized matrices, whose -0.0 diagonal
+    # entries survive into the eigenvalues
+    swept = linalg._jacobi_stack(stack)
+    signs = np.signbit(swept[swept == 0.0])
+    assert signs.any() and not signs.all()
+    assert _hex(swept) == _hex([linalg._jacobi(m) for m in stack.tolist()])
 
 
 def test_stacked_eigenvalues_reject_bad_input():
@@ -182,12 +279,15 @@ def test_stacked_eigenvalues_reject_bad_input():
         hermitian_eigenvalues(stack)
 
 
-def test_stacked_eigenvalues_raise_when_any_matrix_keeps_rotating(monkeypatch):
+def test_stacked_eigenvalues_raise_when_any_matrix_keeps_rotating(
+    monkeypatch, stack_sweeps
+):
     stack = _random_pt_chois(np.random.default_rng(20), 3)
     stack[0] = np.eye(4)  # converges at once; the others need several sweeps
     monkeypatch.setattr(linalg, "MAX_JACOBI_SWEEPS", 1)
     with pytest.raises(ConvergenceFailure):
-        hermitian_eigenvalues(stack)
+        hermitian_eigenvalues(_padded(stack))
+    assert stack_sweeps == [linalg._VECTOR_MIN]
 
 
 def _graded_x_matrix(a, b, ratio, phase):
@@ -234,7 +334,7 @@ _near_singular_pt_choi = st.one_of(
 @given(st.lists(_near_singular_pt_choi, min_size=1, max_size=3))
 def test_stacked_eigenvalues_match_high_precision(matrices):
     mpmath.mp.dps = 60
-    stacked = hermitian_eigenvalues(np.stack(matrices))[:, 0]
+    stacked = hermitian_eigenvalues(_padded(matrices))[: len(matrices), 0]
     for m, got in zip(matrices, stacked):
         exact = min(mpmath.mp.eigh(mpmath.matrix(m.tolist()), eigvals_only=True))
         assert 1e-31 < abs(exact) < 1e-7
