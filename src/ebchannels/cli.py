@@ -9,14 +9,16 @@ Subcommands:
 
 Exit codes: 0 success (verdicts are data, never errors), 1 parse or
 configuration error, 2 channel not completely positive or an invalid
-state produced, 3 output path not writable.  Library errors are mapped
-to codes 1 and 2 in `main` alone.
+state produced, 3 output path not writable (a closed stdout pipe
+included).  Library errors are mapped to codes 1 and 2 in `main` alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -352,7 +354,18 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with code 2 on bad flags; map to the parse-error code
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here rather than at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: what is still buffered, and the
+        # flush at exit, go to devnull instead of raising again
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()  # none behind a StringIO: nothing to flush
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_UNWRITABLE
     except EBChannelsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CP if isinstance(exc, NotCP) else EXIT_PARSE

@@ -202,9 +202,10 @@ def uniaxial_eb_condition(lam, n_axis, axis: int = 2) -> bool | np.ndarray:
     n_axis = np.asarray(n_axis, dtype=float)
     i1, i2, i3 = _axis_order(axis)
     l1, l2, l3 = lam[..., i1], lam[..., i2], lam[..., i3]
-    nn = n_axis * n_axis
     lhs = np.minimum(1.0 - l3, 1.0 + l3)
-    rhs = np.maximum(np.sqrt(_squares(l1 + l2) + nn), np.sqrt(_squares(l1 - l2) + nn))
+    with np.errstate(over="ignore"):  # a square or sum beyond the float range is inf: not EB
+        nn = n_axis * n_axis
+        rhs = np.maximum(np.sqrt(_squares(l1 + l2) + nn), np.sqrt(_squares(l1 - l2) + nn))
     is_eb = lhs >= rhs - CLOSED_FORM_TOL
     return bool(is_eb) if is_eb.ndim == 0 else is_eb
 

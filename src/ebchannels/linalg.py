@@ -219,8 +219,16 @@ def _elementwise(fn, x) -> np.ndarray:
 def _squares(x) -> np.ndarray:
     # x ** 2 as CPython and numpy scalars compute it, through libm pow:
     # numpy's array x ** 2 is x * x, which differs in the last bit on
-    # ~0.1 % of inputs
-    return _elementwise(lambda v: v ** 2, x)
+    # ~0.1 % of inputs.  A square beyond the float range is inf, where
+    # CPython raises OverflowError
+    return _elementwise(_square, x)
+
+
+def _square(v: float) -> float:
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _not_converged() -> ConvergenceFailure:

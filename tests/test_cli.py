@@ -1,5 +1,10 @@
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,3 +353,41 @@ def test_amend_local_negative_seed_exits_one(capsys):
 def test_threads_option_is_gone(capsys):
     assert main(["--threads", "8", "analyze", "--preset", "identity"]) == 1
     capsys.readouterr()
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+_PIPED_COMMANDS = [
+    ["analyze", "--preset", "identity"],
+    ["amend", "local", "--preset", "seb-example", "--layers", "2", "--trials", "10",
+     "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _PIPED_COMMANDS)
+def test_closed_stdout_exits_three_in_process(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 3
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", _PIPED_COMMANDS)
+def test_closed_stdout_pipe_exits_three_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    src = Path(__file__).resolve().parents[1] / "src"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ebchannels.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == b""

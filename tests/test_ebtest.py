@@ -27,7 +27,7 @@ from ebchannels import (
 )
 from ebchannels.channel import QubitChannelAffine, choi, choi_partial_transpose, compose
 from ebchannels.errors import NotCP, PreconditionViolated
-from ebchannels.linalg import hermitian_eigenvalues, svd3
+from ebchannels.linalg import _squares, hermitian_eigenvalues, svd3
 from helpers import (
     axial_channel,
     random_axial_cp,
@@ -176,6 +176,24 @@ def test_uniaxial_condition_on_a_stack_equals_per_channel_calls(axis):
     # more than one leading axis
     grid = uniaxial_eb_condition(lam.reshape(30, 100, 3), n_axis.reshape(30, 100), axis)
     assert np.array_equal(grid, stacked.reshape(30, 100))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_uniaxial_condition_overflow_is_not_eb():
+    # squares and sums beyond the float range are inf, as in the unital branch
+    assert uniaxial_eb_condition([1e200, 1e200, 0.5], 0.1) is False
+    assert uniaxial_eb_condition([0.1, 0.2, 0.5], 1e200) is False
+    assert uniaxial_eb_condition([1e308, 1e308, 0.5], 1e308) is False
+    stacked = uniaxial_eb_condition([[1e200, 0.0, 0.5], [0.1, 0.1, 0.2]], [0.0, 0.1])
+    assert stacked.tolist() == [False, True]
+    phi = diagonal_channel([1e200] * 3, [0.0, 0.0, 1e200])
+    assert closed_form_verdict(phi) == (EBMethod.UNIAXIAL_CLOSED_FORM, False)
+
+
+def test_squares_keep_libm_digits_and_overflow_to_inf():
+    finite = np.random.default_rng(50).uniform(-2.0, 2.0, 1000).tolist() + [1e154, -1.3e154]
+    assert _squares(finite).tolist() == [v ** 2 for v in finite]
+    assert _squares([1.4e154, -1e200, 1e308]).tolist() == [np.inf] * 3
 
 
 def test_uniaxial_spectra_reduce_to_unital():
