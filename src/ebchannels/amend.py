@@ -23,6 +23,7 @@ from . import basis
 from .channel import (
     QubitChannelAffine,
     QuditAffineMap,
+    _choi_min,
     _choi_pt,
     _rotations,
     apply_qudit_map,
@@ -30,10 +31,9 @@ from .channel import (
     compose,
     seb_example_channel,
     unitary_channel,
-    validate_cptp,
 )
 from .ebtest import is_eb_numeric
-from .errors import InvalidParameter, NonPositiveOutput, NotCP
+from .errors import InvalidParameter, NonPositiveOutput
 from .linalg import (
     STACK_BLOCK,
     _lapack_lowest,
@@ -291,12 +291,7 @@ def global_amendment_example(
     """
     if global_map.d != 4:
         raise InvalidParameter("global amendment needs a d = 4 map")
-    report = validate_cptp(base)
-    if not report.is_cp:
-        raise NotCP(
-            f"base channel is not CP: min Choi eigenvalue {report.min_choi_eig:.3e}",
-            min_eig=report.min_choi_eig,
-        )
+    _choi_min(base.n, base.M)  # raises NotCP for a non-CP base
 
     mapped = apply_qudit_map(global_map, choi(base), ordering)
     mapped = mapped / np.trace(mapped).real

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis
-from .errors import BadAxis, DimensionMismatch, InvalidParameter
+from .errors import BadAxis, DimensionMismatch, InvalidParameter, NotCP
 from .linalg import hermitian_eigenvalues, kron, svd3
 from .tolerances import AXIS_NORM_TOL, CP_TOL
 
@@ -53,7 +53,7 @@ class QubitChannelAffine:
     """Affine Bloch-space action r -> n + M r of a qubit channel.
 
     Not validated on construction: non-CP maps are legal inputs for the
-    whole analysis pipeline and only `validate_cptp` gates on positivity.
+    whole analysis pipeline, and `_choi_min` alone gates on positivity.
     """
 
     n: np.ndarray
@@ -130,6 +130,17 @@ def _choi(n: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
+def _choi_min(n: np.ndarray, M: np.ndarray) -> np.ndarray:
+    # the CP gate: smallest Choi eigenvalue of one channel (n, M) or of a
+    # stack (leading axes), raising NotCP for the first one below -CP_TOL
+    choi_min = hermitian_eigenvalues(_choi(n, M))[..., 0]
+    not_cp = np.flatnonzero(choi_min < -CP_TOL)
+    if len(not_cp):
+        bad = float(np.ravel(choi_min)[not_cp[0]])
+        raise NotCP(f"channel is not CP: min Choi eigenvalue {bad:.3e}", min_eig=bad)
+    return choi_min
+
+
 def choi(phi: QubitChannelAffine) -> np.ndarray:
     """Image of the singlet under (phi x identity).
 
@@ -155,8 +166,10 @@ def _choi_pt(n: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def validate_cptp(phi: QubitChannelAffine) -> CPTPReport:
     """Check complete positivity via the minimum Choi eigenvalue."""
-    min_eig = float(hermitian_eigenvalues(choi(phi))[0])
-    return CPTPReport(is_cp=min_eig >= -CP_TOL, min_choi_eig=min_eig)
+    try:
+        return CPTPReport(is_cp=True, min_choi_eig=float(_choi_min(phi.n, phi.M)))
+    except NotCP as exc:
+        return CPTPReport(is_cp=False, min_choi_eig=exc.min_eig)
 
 
 def canonical_form(phi: QubitChannelAffine) -> CanonicalDecomposition:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -196,11 +197,9 @@ def cmd_analyze(args) -> int:
 
 
 def _build_family(args) -> markov.DynamicalFamily:
-    if args.family == "decoherence":
-        return markov.Decoherence(T=args.T, omega=args.omega)
-    if args.family == "depolarization":
-        return markov.Depolarization(T=args.T)
-    return markov.Homogenization(T1=args.T1, T2=args.T2, w=args.w, omega=args.omega)
+    # every family parameter has the flag of the same name
+    cls = markov.FAMILIES[args.family]
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def cmd_markov(args) -> int:
@@ -310,11 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_markov = sub.add_parser("markov", help="time scan of a dynamical family")
-    p_markov.add_argument(
-        "--family",
-        required=True,
-        choices=["decoherence", "depolarization", "homogenization"],
-    )
+    p_markov.add_argument("--family", required=True, choices=list(markov.FAMILIES))
     p_markov.add_argument("--T", type=float, default=1.0)
     p_markov.add_argument("--T1", type=float, default=1.0)
     p_markov.add_argument("--T2", type=float, default=1.0)

@@ -18,14 +18,14 @@ import numpy as np
 from .channel import (
     CanonicalDecomposition,
     QubitChannelAffine,
-    _choi,
+    _choi_min,
     _choi_pt,
     canonical_form,
     choi_partial_transpose,
 )
-from .errors import NotCP, PreconditionViolated
+from .errors import PreconditionViolated
 from .linalg import _squares, hermitian_eigenvalues
-from .tolerances import CLOSED_FORM_TOL, CP_TOL, EB_BOUNDARY_TOL, RANK_TOL
+from .tolerances import CLOSED_FORM_TOL, EB_BOUNDARY_TOL, RANK_TOL
 
 __all__ = [
     "EBMethod",
@@ -90,26 +90,23 @@ def pt_margin(phi: QubitChannelAffine) -> float:
 
 def is_eb_numeric(phi: QubitChannelAffine) -> EBVerdict:
     """Numeric PPT verdict.  Raises NotCP for non-CP input."""
-    choi_min, margin = map(float, _numeric_verdicts(phi.n, phi.M))
+    choi_min, margin, is_eb = _numeric_verdicts(phi.n, phi.M)
     return EBVerdict(
-        is_eb=margin >= -EB_BOUNDARY_TOL,
-        margin=margin,
-        choi_min_eig=choi_min,
+        is_eb=bool(is_eb),
+        margin=float(margin),
+        choi_min_eig=float(choi_min),
         method=EBMethod.NUMERIC_PPT,
     )
 
 
 def _numeric_verdicts(
     n: np.ndarray, M: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # smallest Choi and PT-Choi eigenvalues of one channel (n, M) or of a
-    # stack (leading axes), raising NotCP for the first non-CP one
-    choi_min = hermitian_eigenvalues(_choi(n, M))[..., 0]
-    not_cp = np.flatnonzero(choi_min < -CP_TOL)
-    if len(not_cp):
-        bad = float(np.ravel(choi_min)[not_cp[0]])
-        raise NotCP(f"channel is not CP: min Choi eigenvalue {bad:.3e}", min_eig=bad)
-    return choi_min, hermitian_eigenvalues(_choi_pt(n, M))[..., 0]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # smallest Choi and PT-Choi eigenvalues and EB verdict of one channel
+    # (n, M) or of a stack (leading axes); NotCP for the first non-CP one
+    choi_min = _choi_min(n, M)
+    margin = hermitian_eigenvalues(_choi_pt(n, M))[..., 0]
+    return choi_min, margin, margin >= -EB_BOUNDARY_TOL
 
 
 def unital_spectra(lam) -> tuple[np.ndarray, np.ndarray]:

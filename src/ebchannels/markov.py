@@ -10,7 +10,7 @@ time constants; only ratios t/T enter the physics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,13 +18,13 @@ from .channel import QubitChannelAffine
 from .ebtest import _numeric_verdicts, pt_margin, uniaxial_eb_condition
 from .errors import InvalidParameter, NegativeTime
 from .linalg import _elementwise, _squares
-from .tolerances import EB_BOUNDARY_TOL
 
 __all__ = [
     "Decoherence",
     "Depolarization",
     "Homogenization",
     "DynamicalFamily",
+    "FAMILIES",
     "HomogenizationF",
     "TimeScan",
     "channel_at",
@@ -81,6 +81,13 @@ class Homogenization:
 
 
 DynamicalFamily = Decoherence | Depolarization | Homogenization
+
+#: each family's published name, as `--family` takes it and scans report it
+FAMILIES = {
+    "decoherence": Decoherence,
+    "depolarization": Depolarization,
+    "homogenization": Homogenization,
+}
 
 
 def _params(
@@ -259,7 +266,7 @@ def scan(
         raise NegativeTime(f"t_min must be nonnegative, got {t_min}")
     times = np.linspace(t_min, t_max, steps)
     n, m = _params(family, times)
-    margins = _numeric_verdicts(n, m)[1]
+    _, margins, is_eb = _numeric_verdicts(n, m)
     # the singular values of `canonical_form`, taken from the same LAPACK
     # call as svd3 makes: without vectors it rounds differently
     lam = np.linalg.svd(m)[1]
@@ -269,7 +276,7 @@ def scan(
         "lam2": lam[:, 1],
         "lam3": lam[:, 2],
         "margin": margins,
-        "is_eb": margins >= -EB_BOUNDARY_TOL,
+        "is_eb": is_eb,
     }
     if isinstance(family, Homogenization):
         columns.update(_homogenization(times, family.T1, family.T2, family.w))
@@ -290,17 +297,8 @@ def scan_to_csv(result: TimeScan) -> str:
 
 
 def _family_dict(family: DynamicalFamily) -> dict:
-    if isinstance(family, Decoherence):
-        return {"family": "decoherence", "T": family.T, "omega": family.omega}
-    if isinstance(family, Depolarization):
-        return {"family": "depolarization", "T": family.T}
-    return {
-        "family": "homogenization",
-        "T1": family.T1,
-        "T2": family.T2,
-        "w": family.w,
-        "omega": family.omega,
-    }
+    name = next(name for name, cls in FAMILIES.items() if isinstance(family, cls))
+    return {"family": name, **asdict(family)}
 
 
 def scan_to_dict(result: TimeScan) -> dict:
