@@ -49,7 +49,10 @@ class ChannelFileError(EBChannelsError):
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ChannelFileError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ChannelFileError(f"{where} must be finite: {exc}") from exc
 
 
 def parse_channel_dict(data: dict) -> QubitChannelAffine:
@@ -98,7 +101,8 @@ def parse_channel_file(path: str) -> QubitChannelAffine:
             data = json.load(fh)
     except OSError as exc:
         raise ChannelFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed, not UTF-8, nested too deeply or an integer too long
         raise ChannelFileError(f"invalid JSON in {path}: {exc}") from exc
     return parse_channel_dict(data)
 

@@ -60,7 +60,9 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"expected a square matrix or a stack of them, got shape {m.shape}"
         )
-    if not np.isfinite(m).all():
+    # the largest real or imaginary part of any entry
+    peak = np.abs(np.ascontiguousarray(m).view(float)).max(initial=0.0)
+    if not math.isfinite(peak):
         raise NotHermitian("matrix contains non-finite entries")
     m_dagger = m.conj().swapaxes(-1, -2)
     deviation = np.abs(m - m_dagger).max(initial=0.0)
@@ -69,7 +71,14 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
             f"matrix is not Hermitian: max |m - m^dagger| = {deviation:.3e} "
             f"exceeds {HERMITICITY_TOL:.0e}"
         )
-    h = (m + m_dagger) / 2.0
+    if peak < 2.0**1023:
+        # halving the sum keeps every digit and sign of zero of an exactly
+        # Hermitian matrix
+        h = (m + m_dagger) / 2.0
+    else:
+        # the sum could leave the float range; halving first is exact for
+        # parts this large
+        h = m / 2.0 + m_dagger / 2.0
     if m.ndim == 2:
         return _jacobi(h.tolist())
     if len(h) < _VECTOR_MIN:

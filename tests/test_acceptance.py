@@ -48,28 +48,30 @@ def _report(num: int, ok: bool, detail: str = ""):
     assert ok, line
 
 
+def _max_spectrum_error(spectra, matrices) -> float:
+    # largest deviation of the sorted spectra from the eigenvalues of the
+    # matrices, all taken from one stacked eigensolve
+    eigenvalues = hermitian_eigenvalues(np.stack(matrices))
+    return float(np.abs(np.sort(spectra, axis=1) - eigenvalues).max())
+
+
 def test_criterion_01_closed_form_unital_spectra():
     rng = np.random.default_rng(1001)
     start = time.perf_counter()
     raw = rng.uniform(-1.0, 1.0, (10_000, 3))
-    worst = 0.0
-    kept = 0
+    spectra = ([], [])
+    chois = ([], [])
     for lam in raw:
         if unital_spectra(lam)[0].min() < 0.0:  # CP filter
             continue
-        kept += 1
         phi = diagonal_channel(lam)
         spec_rho, spec_pt = unital_spectra(lam)
-        worst = max(
-            worst,
-            float(np.abs(np.sort(spec_rho) - hermitian_eigenvalues(choi(phi))).max()),
-            float(
-                np.abs(
-                    np.sort(spec_pt)
-                    - hermitian_eigenvalues(choi_partial_transpose(phi))
-                ).max()
-            ),
-        )
+        spectra[0].append(spec_rho)
+        spectra[1].append(spec_pt)
+        chois[0].append(choi(phi))
+        chois[1].append(choi_partial_transpose(phi))
+    kept = len(chois[0])
+    worst = max(map(_max_spectrum_error, spectra, chois))
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -106,29 +108,25 @@ def test_criterion_02_unital_condition_equivalences():
 
 def test_criterion_03_vanishing_singular_value():
     rng = np.random.default_rng(1003)
-    worst = 0.0
+    spectra = []
+    chois = ([], [])
     all_eb = True
     for _ in range(1000):
         lam2, lam3, n = random_lambda1_zero_cp(rng)
         phi = diagonal_channel([0.0, lam2, lam3], n)
         verdict = is_eb_numeric(phi)
         all_eb = all_eb and verdict.is_eb
-        spec = np.sort(lambda1_zero_spectrum(lam2, lam3, n))
-        worst = max(
-            worst,
-            float(np.abs(spec - hermitian_eigenvalues(choi(phi))).max()),
-            float(
-                np.abs(
-                    spec - hermitian_eigenvalues(choi_partial_transpose(phi))
-                ).max()
-            ),
-        )
+        spectra.append(lambda1_zero_spectrum(lam2, lam3, n))
+        chois[0].append(choi(phi))
+        chois[1].append(choi_partial_transpose(phi))
+    worst = max(_max_spectrum_error(spectra, matrices) for matrices in chois)
     _report(3, all_eb and worst < 1e-10, f"max spectrum err {worst:.2e}")
 
 
 def test_criterion_04_single_axis_translation():
     rng = np.random.default_rng(1004)
-    worst = 0.0
+    spectra = ([], [])
+    chois = ([], [])
     mismatches = 0
     produced = 0
     while produced < 10_000:
@@ -143,18 +141,11 @@ def test_criterion_04_single_axis_translation():
         if abs(verdict.margin) > 1e-9:
             if uniaxial_eb_condition(lam, n3, axis=2) != verdict.is_eb:
                 mismatches += 1
-        worst = max(
-            worst,
-            float(
-                np.abs(np.sort(spec_rho) - hermitian_eigenvalues(choi(phi))).max()
-            ),
-            float(
-                np.abs(
-                    np.sort(spec_pt)
-                    - hermitian_eigenvalues(choi_partial_transpose(phi))
-                ).max()
-            ),
-        )
+        spectra[0].append(spec_rho)
+        spectra[1].append(spec_pt)
+        chois[0].append(choi(phi))
+        chois[1].append(choi_partial_transpose(phi))
+    worst = max(map(_max_spectrum_error, spectra, chois))
     _report(
         4,
         mismatches == 0 and worst < 1e-10,

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ebchannels.cli import main
 
@@ -339,6 +341,102 @@ def test_choi_overflow_exits_one(command, source, tmp_path, capsys):
     assert out == ""
     _assert_one_error_line(err)
     assert "overflow the Choi matrix" in err
+
+
+_VALID_CHANNEL = b'{"n": [0, 0, 0.1], "M": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.4]]}'
+_NOT_UTF8 = b"\xff\xfe" + _VALID_CHANNEL
+_TOO_DEEP = b'{"n": ' + b"[" * 10_000 + b"]" * 10_000 + b"}"  # beyond the recursion limit
+_HUGE_INT = _VALID_CHANNEL.replace(b"0.1", b"1" + b"0" * 400)  # beyond the float range
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["analyze"], ["amend", "local", "--seed", "1"]])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (_NOT_UTF8, "can't decode byte 0xff"),
+        (_HUGE_INT, '"n"[2] must be finite'),
+        (_TOO_DEEP, "maximum recursion depth"),
+    ],
+    ids=["not-utf8", "huge-int", "too-deep"],
+)
+def test_malformed_channel_file_exits_one(command, content, message, tmp_path, capsys):
+    path = tmp_path / "channel.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, *command, "--channel", str(path))
+    assert code == 1
+    assert out == ""
+    _assert_one_error_line(err)
+    assert message in err
+
+
+# argv fuzzing: every value argparse accepts goes through `main`, which
+# must end in an exit code and at most one `error:` line on stderr
+_NUMBERS = st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "-0.0", "0", "5e-324", "1e308", "-1e308",
+     "1" + "0" * 400, "-1" + "0" * 400, "0.3", "1", "2.5", "-1"]
+) | st.floats().map(repr)
+_INTS = st.sampled_from([10**400, -(10**400), 2**64]) | st.integers(-3, 2**40)
+_OUTPUTS = st.sampled_from(["{tmp}/out", "{tmp}/missing/out"])
+_CHANNEL_FILES = st.sampled_from(
+    [
+        _VALID_CHANNEL,
+        _VALID_CHANNEL.replace(b"0.4", b"-1"),  # not CP
+        _VALID_CHANNEL[:30],  # truncated
+        _NOT_UTF8,
+        _TOO_DEEP,
+        _HUGE_INT,
+    ]
+)
+_SOURCES = st.just(["--channel", "{tmp}/channel.json"]) | st.builds(
+    lambda preset: ["--preset", preset],
+    st.sampled_from(["identity", "seb-example", "mystery"])
+    | _NUMBERS.map("depolarizing:{}".format),
+)
+
+
+def _flags(**strategies):
+    # any subset of the flags, each as one `--flag=value` token, so that
+    # values such as -inf are not read as flags
+    return st.fixed_dictionaries({}, optional=strategies).map(
+        lambda values: [f"--{flag.replace('_', '-')}={v}" for flag, v in values.items()]
+    )
+
+
+_ARGV = st.one_of(
+    st.builds(lambda source: ["analyze", *source], _SOURCES),
+    st.builds(
+        lambda family, t_max, output, flags: [
+            "markov", f"--family={family}", f"--t-max={t_max}", f"--output={output}",
+            *flags,
+        ],
+        st.sampled_from(["decoherence", "depolarization", "homogenization"]),
+        _NUMBERS,
+        _OUTPUTS,
+        _flags(T=_NUMBERS, T1=_NUMBERS, T2=_NUMBERS, w=_NUMBERS, omega=_NUMBERS,
+               t_min=_NUMBERS, steps=st.integers(-2, 64),
+               format=st.sampled_from(["csv", "json"])),
+    ),
+    st.builds(
+        lambda source, seed, flags: ["amend", "local", *source, f"--seed={seed}", *flags],
+        _SOURCES,
+        _INTS,
+        _flags(layers=st.integers(-1, 4), trials=st.integers(-2, 32), output=_OUTPUTS),
+    ),
+    st.just(["amend", "global-example"]),
+)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV, channel=_CHANNEL_FILES)
+def test_cli_fuzz_exits_with_a_code_and_at_most_one_error_line(
+    argv, channel, tmp_path, capsys
+):
+    (tmp_path / "channel.json").write_bytes(channel)
+    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code in (0, 1, 2, 3)
+    assert err.count("\n") <= 1
+    assert err == "" or err.startswith("error: ")
 
 
 def test_amend_local_negative_seed_exits_one(capsys):

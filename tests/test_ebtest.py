@@ -12,7 +12,9 @@ from ebchannels import (
     closed_form_verdict,
     depolarizing_channel,
     diagonal_channel,
+    global_amendment_example,
     identity_channel,
+    identity_qudit_map,
     is_eb_numeric,
     lambda1_zero_spectrum,
     pt_margin,
@@ -28,6 +30,7 @@ from ebchannels import (
 from ebchannels.channel import QubitChannelAffine, choi, choi_partial_transpose, compose
 from ebchannels.errors import NotCP, PreconditionViolated
 from ebchannels.linalg import _squares, hermitian_eigenvalues, svd3
+from ebchannels.tolerances import CP_TOL
 from helpers import (
     axial_channel,
     random_axial_cp,
@@ -341,3 +344,48 @@ def test_analyze_not_cp_carries_min_eig():
     with pytest.raises(NotCP) as info:
         analyze(phi)
     assert abs(info.value.min_eig - (-0.5)) < 1e-10
+
+
+def _depolarizing_cp_edge():
+    # adjacent floats p < q above 1 between which the smallest Choi
+    # eigenvalue of depolarizing_channel crosses -CP_TOL, by bisection
+    lo, hi = 1.0, 1.0 + 1e-9
+    while np.nextafter(lo, 2.0) < hi:
+        mid = 0.5 * (lo + hi)
+        if hermitian_eigenvalues(choi(depolarizing_channel(mid)))[0] >= -CP_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _gate_outcomes(phi):
+    # None where the channel passes the CP gate, else NotCP's eigenvalue
+    outcomes = []
+    for gate in (analyze, lambda phi: global_amendment_example(phi, identity_qudit_map(4))):
+        try:
+            gate(phi)
+            outcomes.append(None)
+        except NotCP as exc:
+            outcomes.append(exc.min_eig)
+    return outcomes
+
+
+@pytest.mark.parametrize("side", [1.0, 0.0, -1.0], ids=["above", "at", "below"])
+def test_cp_gate_boundary_is_one_rule(side):
+    # a channel whose Choi matrix is diagonal, with smallest entry exactly
+    # one ulp above, at, or one ulp below -CP_TOL; the boundary is CP
+    t = -CP_TOL if side == 0.0 else np.nextafter(-CP_TOL, side)
+    phis = [diagonal_channel([0.0, 0.0, 4.0 * t], [0.0, 0.0, -1.0])]
+    assert validate_cptp(phis[0]).min_choi_eig == t
+    # and the depolarizing channels of the two adjacent p around the edge
+    lo, hi = _depolarizing_cp_edge()
+    phis.append(depolarizing_channel(lo if side >= 0.0 else hi))
+    for phi in phis:
+        report = validate_cptp(phi)
+        assert report.is_cp == (side >= 0.0)
+        for min_eig in _gate_outcomes(phi):
+            if report.is_cp:
+                assert min_eig is None
+            else:
+                assert min_eig.hex() == report.min_choi_eig.hex()

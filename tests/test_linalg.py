@@ -147,6 +147,20 @@ def test_eigenvalues_keep_tiny_block_signs(stacked, stack_sweeps):
     assert abs(ev[-1] - 0.5) < 1e-15
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "m", [np.diag([1e308, 1.0]), np.array([[1e308]])], ids=["2x2", "1x1"]
+)
+def test_symmetrizing_entries_near_the_float_range_does_not_overflow(m, stack_sweeps):
+    # m + m^dagger would leave the float range; the eigenvalues are the
+    # diagonal entries, exactly
+    expected = np.sort(np.diag(m))
+    assert _hex(hermitian_eigenvalues(m)) == _hex(expected)
+    stacked = hermitian_eigenvalues(_padded([m]))
+    assert stack_sweeps == [linalg._VECTOR_MIN]
+    assert _hex(stacked[0]) == _hex(expected)
+
+
 def _random_pt_chois(rng, count):
     return np.stack(
         [
