@@ -72,12 +72,10 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
             f"exceeds {HERMITICITY_TOL:.0e}"
         )
     if peak < 2.0**1023:
-        # halving the sum keeps every digit and sign of zero of an exactly
-        # Hermitian matrix
+        # halving each term instead would round away subnormal digits
         h = (m + m_dagger) / 2.0
     else:
-        # the sum could leave the float range; halving first is exact for
-        # parts this large
+        # the sum could leave the float range; halves this large are exact
         h = m / 2.0 + m_dagger / 2.0
     if m.ndim == 2:
         return _jacobi(h.tolist())

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ebchannels.cli import main
+from ebchannels.markov import FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -410,7 +411,7 @@ _ARGV = st.one_of(
             "markov", f"--family={family}", f"--t-max={t_max}", f"--output={output}",
             *flags,
         ],
-        st.sampled_from(["decoherence", "depolarization", "homogenization"]),
+        st.sampled_from(list(FAMILIES)),
         _NUMBERS,
         _OUTPUTS,
         _flags(T=_NUMBERS, T1=_NUMBERS, T2=_NUMBERS, w=_NUMBERS, omega=_NUMBERS,
