@@ -1,4 +1,7 @@
+import functools
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,50 +214,156 @@ def test_local_search_keeps_the_draw_order():
     assert abs(report.best_pt_min_eig - pt_margin(composite)) <= 1e-14
 
 
-@pytest.mark.parametrize("trials", [1, 199, 200, 201, 1000])
+def _reference_draws(rng, count):
+    # one rotation at a time: a Gaussian triple, redrawn while its norm is
+    # at most 1e-12, normalized to the axis, then an angle 2 pi * random()
+    axes, angles = [], []
+    for _ in range(count):
+        d = rng.standard_normal(3)
+        while math.sqrt(d @ d) <= 1e-12:
+            d = rng.standard_normal(3)
+        axes.append(d / math.sqrt(d @ d))
+        angles.append(2.0 * math.pi * rng.random())
+    return np.reshape(axes, (count, 3)), np.array(angles)
+
+
+def test_sampler_equals_the_draw_by_draw_reference():
+    for seed in range(200):
+        count = 1 + seed * 7 % 97
+        axes, angles = amend._sample_unitaries(np.random.default_rng(seed), count)
+        want_axes, want_angles = _reference_draws(np.random.default_rng(seed), count)
+        assert axes.tobytes() == want_axes.tobytes()
+        assert angles.tobytes() == want_angles.tobytes()
+
+
+class _ScriptedGenerator:
+    # hands out fixed Gaussian triples and uniforms in call order, and logs
+    # which kind of draw each call was
+    def __init__(self, triples, uniforms):
+        self.triples, self.uniforms = list(triples), list(uniforms)
+        self.calls = []
+
+    def standard_normal(self, size=None, out=None):
+        self.calls.append("normal")
+        triple = np.array(self.triples.pop(0), dtype=float)
+        if out is None:
+            assert size == 3
+            return triple
+        out[...] = triple
+        return out
+
+    def random(self):
+        self.calls.append("random")
+        return self.uniforms.pop(0)
+
+
+def test_sampler_redraws_tiny_triples_in_the_reference_order():
+    triples = [
+        (1e-13, 0.0, 0.0),  # norm below 1e-12: redrawn
+        (0.3, -1.2, 0.5),
+        (1e-12, 2.0, 0.0),  # |x| <= 2e-12 but a large norm: kept
+        (-1e-13, 1e-14, 0.0),  # redrawn
+        (0.0, 0.0, 0.0),  # redrawn
+        (0.0, 0.0, 3.0),
+    ]
+    uniforms = [0.25, 0.5, 0.75]
+    sampler = _ScriptedGenerator(triples, uniforms)
+    reference = _ScriptedGenerator(triples, uniforms)
+    axes, angles = amend._sample_unitaries(sampler, 3)
+    want_axes, want_angles = _reference_draws(reference, 3)
+    assert axes.tobytes() == want_axes.tobytes()
+    assert angles.tobytes() == want_angles.tobytes()
+    assert sampler.calls == reference.calls
+    assert sampler.calls == (
+        ["normal", "normal", "random"]
+        + ["normal", "random"]
+        + ["normal", "normal", "normal", "random"]
+    )
+    assert np.array_equal(axes[1], [5e-13, 1.0, 0.0])
+
+
+def test_search_memory_stays_within_a_block():
+    # the tracemalloc peak of a 3 x 1000 search on a tie base, which sweeps
+    # every trial, after a warm-up call (the first call also allocates
+    # ~0.8 MB of numpy's first-use state):
+    # ~0.6 MB with blocks of 200, ~1.5 MB with 512 and ~2.9 MB with 1000
+    base = depolarizing_channel(1.0 / 3.0)
+    local_amendment_search(base, n_layers=3, trials=1000, seed=7)
+    tracemalloc.start()
+    try:
+        local_amendment_search(base, n_layers=3, trials=1000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
+# the block edges of STACK_BLOCK and of the earlier block of 200
+_EDGE_TRIALS = (
+    1,
+    199,
+    200,
+    201,
+    STACK_BLOCK - 1,
+    STACK_BLOCK,
+    STACK_BLOCK + 1,
+    1000,
+    2 * STACK_BLOCK + 1,
+)
+
+
+@pytest.mark.parametrize("trials", _EDGE_TRIALS)
 def test_local_search_matches_trial_by_trial_loop(trials):
     report = local_amendment_search(_FULL_RANK_EB, n_layers=3, trials=trials, seed=5)
-    rng = np.random.default_rng(5)
-    best_violation, best_trial = -np.inf, -1
-    for trial in range(trials):
-        violation = -pt_margin(interleave(_FULL_RANK_EB, _replayed_unitaries(rng, 2)))
-        if violation > best_violation:
-            best_violation, best_trial = violation, trial
+    violations = _trial_by_trial_violations()[:trials]
+    best_trial = int(np.argmax(violations))  # the first strict maximum
     assert report.best_trial == best_trial
-    assert abs(report.best_margin - best_violation) <= 1e-14
+    assert abs(report.best_margin - violations[best_trial]) <= 1e-14
     assert report.base_is_eb and not report.amended
 
 
+@functools.lru_cache(maxsize=None)
+def _trial_by_trial_violations():
+    # each trial's violation for seed 5, one composite at a time; every
+    # search length above reads a prefix
+    rng = np.random.default_rng(5)
+    return np.array(
+        [
+            -pt_margin(interleave(_FULL_RANK_EB, _replayed_unitaries(rng, 2)))
+            for _ in range(max(_EDGE_TRIALS))
+        ]
+    )
+
+
 def _unfiltered_search(base, n_layers, trials, seed):
-    # the search with every trial through the Jacobi sweep: the same draws,
-    # blocks and composites, the first strict maximum taken trial by trial
+    # the search with every trial through the Jacobi sweep: the same draws
+    # and composites, each trial's violation and rotations.  The sweep's
+    # result does not depend on the block, so one pass serves every shorter
+    # search as a prefix
     rng = np.random.default_rng(seed)
     layers = n_layers - 1
-    best_violation, best_trial, best_unitaries = -np.inf, -1, ()
-    for start in range(0, trials, STACK_BLOCK):
-        block = min(STACK_BLOCK, trials - start)
-        axes, angles = amend._sample_unitaries(rng, block * layers)
-        rotations = _rotations(axes, angles).reshape(block, layers, 3, 3)
-        chois = amend._interleaved_pt_chois(base, rotations)
-        violations = -hermitian_eigenvalues(chois)[:, 0]
-        for i, violation in enumerate(violations):
-            if violation > best_violation:
-                best_violation, best_trial = violation, start + i
-                chosen = slice(i * layers, (i + 1) * layers)
-                best_unitaries = tuple(
-                    UnitarySample(axis=tuple(axis), angle=float(angle))
-                    for axis, angle in zip(axes[chosen], angles[chosen])
-                )
-    return best_violation, best_trial, best_unitaries
+    axes, angles = amend._sample_unitaries(rng, trials * layers)
+    rotations = _rotations(axes, angles).reshape(trials, layers, 3, 3)
+    violations = -hermitian_eigenvalues(amend._interleaved_pt_chois(base, rotations))
+    return violations[:, 0], axes.reshape(trials, layers, 3), angles.reshape(trials, layers)
 
 
-def _assert_matches_unfiltered(base, n_layers, trials, seed):
-    report = local_amendment_search(base, n_layers, trials, seed)
-    violation, trial, unitaries = _unfiltered_search(base, n_layers, trials, seed)
-    assert (report.best_trial, report.best_unitaries) == (trial, unitaries)
-    assert float(violation).hex() == report.best_margin.hex()
-    assert float(-violation).hex() == report.best_pt_min_eig.hex()
-    assert report.amended == bool(report.base_is_eb and violation > AMEND_TOL)
+def _assert_matches_unfiltered(base, n_layers, trial_counts, seed):
+    all_violations, all_axes, all_angles = _unfiltered_search(
+        base, n_layers, max(trial_counts), seed
+    )
+    for trials in trial_counts:
+        report = local_amendment_search(base, n_layers, trials, seed)
+        trial = int(np.argmax(all_violations[:trials]))  # the first strict maximum
+        violation = all_violations[trial]
+        unitaries = tuple(
+            UnitarySample(axis=tuple(axis), angle=float(angle))
+            for axis, angle in zip(all_axes[trial], all_angles[trial])
+        )
+        assert (report.best_trial, report.best_unitaries) == (trial, unitaries)
+        assert float(violation).hex() == report.best_margin.hex()
+        assert float(-violation).hex() == report.best_pt_min_eig.hex()
+        assert report.amended == bool(report.base_is_eb and violation > AMEND_TOL)
 
 
 _NAMED_BASES = {
@@ -264,20 +373,22 @@ _NAMED_BASES = {
 }
 
 
+_SCREEN_TRIALS = tuple(sorted(_EDGE_TRIALS + (401,)))
+
+
 @pytest.mark.parametrize("seed", [7, 8])
 @pytest.mark.parametrize("n_layers", [2, 3, 4])
 @pytest.mark.parametrize("name", sorted(_NAMED_BASES))
 def test_screened_search_equals_unfiltered_on_named_bases(name, n_layers, seed):
     # depolarizing trials tie exactly, so only the tie rule picks their winner
-    for trials in (1, 199, 200, 201, 401, 1000):
-        _assert_matches_unfiltered(_NAMED_BASES[name], n_layers, trials, seed)
+    _assert_matches_unfiltered(_NAMED_BASES[name], n_layers, _SCREEN_TRIALS, seed)
 
 
 @pytest.mark.parametrize("case", range(24))
 def test_screened_search_equals_unfiltered_on_random_bases(case):
     base = random_cptp_channel(np.random.default_rng(900 + case))
-    trials = (1, 199, 200, 201, 401, 1000)[case % 6]
-    _assert_matches_unfiltered(base, 2 + case % 3, trials, seed=case)
+    trials = _SCREEN_TRIALS[case % len(_SCREEN_TRIALS)]
+    _assert_matches_unfiltered(base, 2 + case % 3, (trials,), seed=case)
 
 
 def _replaying_stack(monkeypatch, stack):
@@ -295,7 +406,7 @@ def _replaying_stack(monkeypatch, stack):
 @settings(max_examples=30)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    count=st.integers(1, 450),
+    count=st.integers(1, 2 * STACK_BLOCK + 1),
     spread=st.sampled_from([0.0, 1e-3, 1.0, 3.0]),
 )
 def test_screen_keeps_the_first_jacobi_argmax_of_near_ties(seed, count, spread):

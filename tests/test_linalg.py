@@ -1,3 +1,5 @@
+import functools
+
 import mpmath
 import numpy as np
 import pytest
@@ -161,6 +163,21 @@ def test_symmetrizing_entries_near_the_float_range_does_not_overflow(m, stack_sw
     assert _hex(stacked[0]) == _hex(expected)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [np.diag([-1.7e308, 1.7e308]), np.array([[1e308, 1e300j], [-1e300j, -1e308]])],
+    ids=["diagonal", "pivot"],
+)
+def test_stacked_pivot_test_near_the_float_range_matches_the_matrix(m, stack_sweeps):
+    # |app| + |aqq| leaves the float range: the scalar sweep's sum is inf
+    # and flushes the pivot, and the vectorized sweep must do the same
+    # without an overflow warning
+    stacked = hermitian_eigenvalues(np.repeat(m[None], linalg._VECTOR_MIN, axis=0))
+    assert stack_sweeps == [linalg._VECTOR_MIN]
+    expected = _hex(hermitian_eigenvalues(m))
+    assert all(_hex(row) == expected for row in stacked)
+
+
 def _random_pt_chois(rng, count):
     return np.stack(
         [
@@ -201,12 +218,30 @@ def test_stacked_eigenvalues_round_like_the_scalar_sweep():
     )
 
 
-@pytest.mark.parametrize("count", [199, 200, 201, 401])
+@pytest.mark.parametrize(
+    "count",
+    [
+        199,
+        200,
+        201,
+        401,
+        linalg.STACK_BLOCK - 1,
+        linalg.STACK_BLOCK,
+        linalg.STACK_BLOCK + 1,
+        2 * linalg.STACK_BLOCK + 1,
+    ],
+)
 def test_stacked_eigenvalues_across_block_edges(count):
-    stack = _random_pt_chois(np.random.default_rng(count), count)
-    assert np.array_equal(
-        hermitian_eigenvalues(stack), [hermitian_eigenvalues(m) for m in stack]
-    )
+    stack, single = _edge_stack()
+    assert np.array_equal(hermitian_eigenvalues(stack[:count]), single[:count])
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_stack():
+    # one stack and its per-matrix eigenvalues, whose prefixes serve every
+    # block edge above
+    stack = _random_pt_chois(np.random.default_rng(26), 2 * linalg.STACK_BLOCK + 1)
+    return stack, np.array([hermitian_eigenvalues(m) for m in stack])
 
 
 def test_stacked_eigenvalues_edge_shapes(stack_sweeps):
