@@ -109,6 +109,96 @@ def _numeric_verdicts(
     return choi_min, margin, margin >= -EB_BOUNDARY_TOL
 
 
+_EPS = 2.0**-52
+
+
+def _pt_det(n: np.ndarray, M: np.ndarray) -> tuple[float, float]:
+    """256 det of the PT-Choi matrix of (n, M), and the band that decides its sign.
+
+    In the rotation invariants t2 = tr M^T M, t4 = tr (M M^T)^2:
+
+        256 det = 1 - 2 t2 - t2^2 + 2 t4 - 8 det M - 2|n|^2 + |n|^4
+                  + 2 |n|^2 t2 - 4 n^T M M^T n,
+
+    evaluated in Python floats.  When |256 det| exceeds the band, the
+    sign of the computed determinant is the sign of `pt_margin` for any
+    Hermitian input when it is negative, and for a CP channel when it is
+    positive.  Returns (256 det, band).
+    """
+    (a, b, c), (d, e, f), (g, h, i) = M.tolist()
+    x, y, z = n.tolist()
+    g00 = a * a + b * b + c * c  # M M^T
+    g11 = d * d + e * e + f * f
+    g22 = g * g + h * h + i * i
+    g01 = a * d + b * e + c * f
+    g02 = a * g + b * h + c * i
+    g12 = d * g + e * h + f * i
+    t2 = g00 + g11 + g22
+    t4 = (g00 * g00 + g11 * g11 + g22 * g22) + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)
+    det_m = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    nn = x * x + y * y + z * z
+    u0 = a * x + d * y + g * z  # M^T n
+    u1 = b * x + e * y + h * z
+    u2 = c * x + f * y + i * z
+    q = u0 * u0 + u1 * u1 + u2 * u2
+    det = (
+        1.0 - 2.0 * t2 - t2 * t2 + 2.0 * t4 - 8.0 * det_m
+        - 2.0 * nn + nn * nn + 2.0 * nn * t2 - 4.0 * q
+    )
+    # The band is the sum of two bounds.
+    #
+    # Forward error of `det`.  Each value computed with + - * carries the
+    # monomials of its formal expansion, each times at most k factors
+    # (1 + delta), |delta| <= u = eps / 2, k the roundings along its path
+    # (a sum adds one to the larger count, a product adds one to the sum
+    # of both; the scalings by 2, 4 and 8 are exact).  Counted above, no
+    # monomial of `det` takes more than k = 18 (t2 * t2 has 11 and passes
+    # 7 additions), so |error| <= gamma_18 S < 9.01 eps S, where S is the
+    # same expansion in absolute values.  Bounded term by term by
+    # Cauchy-Schwarz and AM-GM on the rows of |M|: the t4 terms by t2^2,
+    # the permanent of |M| by t2^(3/2), |n^T M M^T n| by |n|^2 t2, so
+    #     S <= 1 + 2 t2 + 3 t2^2 + 8 t2^(3/2) + 2|n|^2 + |n|^4 + 6 |n|^2 t2.
+    # 16 eps S covers gamma_18 and the roundings of S itself.  On 300
+    # random Kraus channels, half of them scaled onto the boundary, the
+    # largest error against 60-digit mpmath was 0.62 eps S.
+    #
+    # Jacobi's error.  `pt_margin` sweeps the assembled matrix H'.  Each
+    # real or imaginary part of an entry of H' sums the identity and at
+    # most 6 parameters times 0, +-1 or +-i (products exact, at most 5
+    # roundings), so ||H' - H||_2 <= gamma_5 ||A||_F with A the same sums
+    # in absolute values, and ||A||_F <= (1 + |n|_1 + |M|_1) / 2 <=
+    # sqrt(13) ||H||_F: under 10 eps ||H||_F.
+    # Jacobi returns the eigenvalues of H' + E with ||E||_2 <= 64 n eps
+    # ||H'||_2 (64 n = 256 for n = 4, the constant `linalg._lapack_lowest`
+    # takes for Jacobi and LAPACK together).  By Weyl's inequality its
+    # smallest eigenvalue is within c_J eps ||H||_F of the exact one, with
+    # c_J = 256 + 16 = 272 (on the same channels the largest error was
+    # 1.4 eps ||H||_F).  Every |lam| <= ||H||_2 <= ||H||_F, so
+    # |det H| <= |lam_min| ||H||_F^3: when |det H| > c_J eps ||H||_F^4,
+    # |lam_min| exceeds Jacobi's error and Jacobi returns its sign.  With
+    # ||H||_F^2 = (1 + |n|^2 + t2) / 4 (the Pauli products are orthogonal
+    # with squared norm 4), 256 c_J eps ||H||_F^4 = 16 c_J eps (1 + |n|^2
+    # + t2)^2.  For a Choi state ||H||_F <= 1, so this is at most the
+    # 256 c_J eps ||H||_F that |lam_min| >= |det| (eigenvalues of a state's
+    # partial transpose lie in [-1/2, 1]) would give.
+    #
+    # Outside the band the exact determinant has the computed sign and
+    # |lam_min| exceeds Jacobi's error.  A negative determinant means an
+    # odd number of negative eigenvalues.  A positive one means none when
+    # the channel is CP: the partial transpose of a two-qubit state has at
+    # most one negative eigenvalue (Sanpera, Tarrach, Vidal, PRA 58, 826
+    # (1998)).  A CP family's rounded parameters may miss CP by a few eps;
+    # its partial transpose plus that much identity then has at most one
+    # negative eigenvalue, so a second one lies above -few eps, and with
+    # two, |det| <= few eps ||H||_F^3 falls inside the band (||H||_F >= 1/2
+    # at trace 1).
+    band = 16.0 * _EPS * (
+        1.0 + 2.0 * t2 + 3.0 * t2 * t2 + 8.0 * t2 * t2**0.5
+        + 2.0 * nn + nn * nn + 6.0 * nn * t2
+    ) + 16.0 * 272.0 * _EPS * (1.0 + nn + t2) ** 2
+    return det, band
+
+
 def unital_spectra(lam) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Choi and partial-transpose spectra of a unital diagonal channel.
 

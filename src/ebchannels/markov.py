@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .channel import QubitChannelAffine
-from .ebtest import _numeric_verdicts, pt_margin, uniaxial_eb_condition
+from .ebtest import _numeric_verdicts, _pt_det, pt_margin, uniaxial_eb_condition
 from .errors import InvalidParameter, NegativeTime
 from .linalg import _elementwise, _squares
 
@@ -148,14 +148,28 @@ def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
     is strict (margin >= 0 rather than the verdict tolerance): families
     whose margin approaches zero from below without ever reaching it
     must not report a spurious finite onset.
+
+    Each probe asks the sign of det(Choi^Gamma) first (`ebtest._pt_det`).
+    Outside its stated error band, a negative determinant means the
+    margin is negative, and for a CP family (every one but homogenization
+    with T2 > 2 T1) a positive determinant means it is positive.  Inside
+    the band, and for a positive determinant of a non-CP family, the
+    Jacobi margin decides as `pt_margin(channel_at(family, t)) >= 0`.
+    Outside the band the two agree, so the bisection sees the same
+    answers either way and the onset digits are Jacobi's.
     """
     if not t_max > 0.0:
         raise InvalidParameter(f"t_max must be positive, got {t_max}")
     if not math.isfinite(t_max):
         raise InvalidParameter(f"t_max must be finite, got {t_max}")
+    cp = not (isinstance(family, Homogenization) and family.T2 > 2.0 * family.T1)
 
     def is_eb(t: float) -> bool:
-        return pt_margin(channel_at(family, t)) >= 0.0
+        phi = channel_at(family, t)
+        det, band = _pt_det(phi.n, phi.M)
+        if det < -band or (cp and det > band):
+            return det > 0.0
+        return pt_margin(phi) >= 0.0
 
     times = np.linspace(0.0, t_max, _ONSET_GRID).tolist()
     if not is_eb(times[-1]):

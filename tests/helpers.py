@@ -68,6 +68,26 @@ def random_cptp_channel(rng: np.random.Generator) -> QubitChannelAffine:
             return phi
 
 
+def random_kraus_channel(rng: np.random.Generator, rank: int) -> QubitChannelAffine:
+    """CP channel with `rank` random Kraus operators, translated off every axis.
+
+    The affine parameters are read from the Kraus sum itself:
+    n_i = tr(sigma_i phi(I)) / 2 and M_ij = tr(sigma_i phi(sigma_j)) / 2.
+    """
+    k = rng.standard_normal((rank, 2, 2)) + 1j * rng.standard_normal((rank, 2, 2))
+    # K_i S^(-1/2), with S = sum K_i^dagger K_i, preserves the trace
+    w, v = np.linalg.eigh(np.einsum("kji,kjl->il", k.conj(), k))
+    k = k @ (v / np.sqrt(w)) @ v.conj().T
+
+    def image(rho):
+        return np.einsum("kij,jl,kml->im", k, rho, k.conj())
+
+    paulis = PAULI4[1:]
+    n = [np.trace(s @ image(I2)).real / 2.0 for s in paulis]
+    m = [[np.trace(a @ image(b)).real / 2.0 for b in paulis] for a in paulis]
+    return QubitChannelAffine(n, m)
+
+
 def random_axial_cp(rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Diagonal channel with translation on axis 3 only, CP by construction."""
     while True:

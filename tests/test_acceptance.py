@@ -19,8 +19,6 @@ from ebchannels import (
     choi_partial_transpose,
     diagonal_channel,
     eb_onset,
-    homogenization_eb_condition,
-    homogenization_f,
     identity_channel,
     is_eb_numeric,
     lambda1_zero_spectrum,
@@ -36,7 +34,9 @@ from ebchannels import (
     validate_cptp,
 )
 from ebchannels.amend import REFERENCE_AMENDED_STATE
+from ebchannels.ebtest import _numeric_verdicts
 from ebchannels.linalg import hermitian_eigenvalues, partial_transpose
+from ebchannels.markov import _homogenization, _params
 from helpers import axial_channel, random_lambda1_zero_cp
 
 
@@ -179,25 +179,25 @@ def test_criterion_07_homogenization_grid():
     total = 0
     w1_eb_points = 0
     antitone_ok = True
-    for t in times:
-        for ratio in ratios:
-            previous = True
-            for w in (0.0, 0.3, 0.7, 1.0):
-                family = Homogenization(T1=float(ratio), T2=1.0, w=w)
-                verdict = is_eb_numeric(channel_at(family, float(t)))
-                closed = homogenization_eb_condition(float(t), float(ratio), 1.0, w)
-                total += 1
-                if abs(verdict.margin) > 1e-9:
-                    if closed != verdict.is_eb:
-                        mismatches += 1
-                    literal = homogenization_f(float(t), float(ratio), 1.0, w).f >= 0.0
-                    if literal != verdict.is_eb:
-                        literal_disagreements += 1
-                if w == 1.0 and verdict.is_eb:
-                    w1_eb_points += 1
-                if closed and not previous:
-                    antitone_ok = False
-                previous = closed
+    # each (ratio, w) over the whole time axis at once; `previous` holds
+    # the closed-form verdicts of the last w at every time
+    for ratio in ratios:
+        previous = np.ones(len(times), dtype=bool)
+        for w in (0.0, 0.3, 0.7, 1.0):
+            family = Homogenization(T1=float(ratio), T2=1.0, w=w)
+            _, margins, is_eb = _numeric_verdicts(*_params(family, times))
+            columns = _homogenization(times, float(ratio), 1.0, w)
+            closed = columns["cf_eb"]
+            total += len(times)
+            resolved = np.abs(margins) > 1e-9
+            mismatches += int(np.count_nonzero(resolved & (closed != is_eb)))
+            literal = columns["f"] >= 0.0
+            literal_disagreements += int(np.count_nonzero(resolved & (literal != is_eb)))
+            if w == 1.0:
+                w1_eb_points += int(np.count_nonzero(is_eb))
+            if np.any(closed & ~previous):
+                antitone_ok = False
+            previous = closed
     rate = literal_disagreements / total
     print(
         f"criterion  7 note: literal f column disagrees with the PPT oracle on "

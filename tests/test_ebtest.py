@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ebchannels import (
     EBMethod,
@@ -28,13 +30,15 @@ from ebchannels import (
     validate_cptp,
 )
 from ebchannels.channel import QubitChannelAffine, choi, choi_partial_transpose, compose
+from ebchannels.ebtest import _pt_det
 from ebchannels.errors import NotCP, PreconditionViolated
 from ebchannels.linalg import _squares, hermitian_eigenvalues, svd3
-from ebchannels.tolerances import CP_TOL
+from ebchannels.tolerances import CP_TOL, KNIFE_EDGE_BAND
 from helpers import (
     axial_channel,
     random_axial_cp,
     random_cptp_channel,
+    random_kraus_channel,
     random_lambda1_zero_cp,
     random_unital_cp_lambdas,
     random_unitary_sample,
@@ -289,6 +293,91 @@ def test_verdict_invariant_under_unitary_conjugation():
 def test_pt_margin_matches_verdict_margin():
     phi = depolarizing_channel(0.2)
     assert pt_margin(phi) == is_eb_numeric(phi).margin
+
+
+_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+_ranks = st.integers(min_value=1, max_value=4)
+
+
+def _scaled(phi: QubitChannelAffine, s: float) -> QubitChannelAffine:
+    # (n, s M) mixes the channel with the replacement channel onto n, so it
+    # stays CP for s in [0, 1]
+    return QubitChannelAffine(phi.n, s * phi.M)
+
+
+@settings(max_examples=400)
+@given(_seeds, _ranks, st.floats(min_value=0.0, max_value=1.0))
+def test_pt_det_sign_is_the_jacobi_verdict_outside_its_band(seed, rank, s):
+    phi = _scaled(random_kraus_channel(np.random.default_rng(seed), rank), s)
+    det, band = _pt_det(phi.n, phi.M)
+    assert abs(det - 256.0 * np.linalg.det(choi_partial_transpose(phi)).real) <= 1e-12
+    if abs(det) > band:
+        assert (det >= 0.0) == (pt_margin(phi) >= 0.0)
+
+
+@settings(max_examples=100)
+@given(_seeds, _ranks)
+def test_pt_det_band_covers_the_boundary(seed, rank):
+    # scale the contraction onto the EB boundary, to adjacent floats: there
+    # the computed determinant and the Jacobi margin disagree in sign on
+    # about one channel in four, so with a band of 0 this test fails
+    phi = random_kraus_channel(np.random.default_rng(seed), rank)
+    assume(_pt_det(phi.n, phi.M)[0] < 0.0)
+    lo, hi = 0.0, 1.0  # (n, 0) is EB, (n, M) is not
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _pt_det(phi.n, mid * phi.M)[0] >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    for s in (lo, hi, *(min(1.0, lo * (1.0 + d)) for d in (-1e-9, -1e-12, 1e-12, 1e-9))):
+        scaled = _scaled(phi, s)
+        det, band = _pt_det(scaled.n, scaled.M)
+        if abs(det) > band:
+            assert (det >= 0.0) == (pt_margin(scaled) >= 0.0)
+
+
+def test_pt_det_sign_needs_a_cp_channel_when_positive():
+    # non-CP: the partial transpose has spectrum (-1, 3, 3, -1) / 4, two
+    # negative eigenvalues and a positive determinant far outside the band
+    phi = diagonal_channel([2.0, 0.0, 0.0])
+    det, band = _pt_det(phi.n, phi.M)
+    assert det == 9.0 and band < 1e-9
+    assert abs(pt_margin(phi) + 0.25) < 1e-12
+
+
+def _rotated(rng, phi: QubitChannelAffine) -> QubitChannelAffine:
+    return compose(random_unitary_sample(rng), compose(phi, random_unitary_sample(rng)))
+
+
+def _lambda1_zero_channel(rng) -> QubitChannelAffine:
+    lam2, lam3, n = random_lambda1_zero_cp(rng)
+    return diagonal_channel([0.0, lam2, lam3], n)
+
+
+def test_closed_forms_and_determinant_agree_with_jacobi():
+    # every closed-form branch, and the determinant's sign outside its
+    # band, against the Jacobi verdict outside KNIFE_EDGE_BAND
+    rng = np.random.default_rng(91)
+    samplers = [
+        lambda: random_kraus_channel(rng, int(rng.integers(1, 5))),
+        lambda: diagonal_channel(random_unital_cp_lambdas(rng, 1)[0]),
+        lambda: axial_channel(*random_axial_cp(rng)),
+        lambda: _lambda1_zero_channel(rng),
+    ]
+    fired = set()
+    for k in range(1000):
+        phi = _rotated(rng, samplers[k % len(samplers)]())
+        margin = pt_margin(phi)
+        if abs(margin) <= KNIFE_EDGE_BAND:
+            continue
+        det, band = _pt_det(phi.n, phi.M)
+        if abs(det) > band:
+            assert (det >= 0.0) == (margin >= 0.0)
+        method, cf_is_eb = closed_form_verdict(phi)
+        fired.add(method)
+        if method is not None:
+            assert cf_is_eb == (margin >= 0.0)
+    assert fired == {None, *EBMethod} - {EBMethod.NUMERIC_PPT}
 
 
 def _count_calls(monkeypatch, func):

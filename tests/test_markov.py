@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebchannels import (
@@ -341,31 +341,65 @@ def test_eb_onset_matches_scalar_walk(family, t_max):
 
 
 def _count_probes(monkeypatch):
+    # the decider of each probe: every probe asks the determinant first,
+    # and the probes it leaves go on to Jacobi
     probes = []
 
+    def counting_pt_det(n, M):
+        probes.append("determinant")
+        return ebtest._pt_det(n, M)
+
     def counting_pt_margin(phi):
-        probes.append(phi)
+        probes[-1] = "jacobi"
         return ebtest.pt_margin(phi)
 
     def scalar_only(matrix):
         assert np.ndim(matrix) == 2, "stacked eigensolve under eb_onset"
         return hermitian_eigenvalues(matrix)
 
+    monkeypatch.setattr(markov, "_pt_det", counting_pt_det)
     monkeypatch.setattr(markov, "pt_margin", counting_pt_margin)
     monkeypatch.setattr(ebtest, "hermitian_eigenvalues", scalar_only)
     return probes
 
 
 def test_eb_onset_probes_once_without_crossing(monkeypatch):
+    # the margin at t_max, -e^{-50}/2, is far inside the determinant's band
     probes = _count_probes(monkeypatch)
     assert eb_onset(Decoherence(T=1.0, omega=5.0), 50.0) is None
-    assert len(probes) == 1
+    assert probes == ["jacobi"]
 
 
 def test_eb_onset_bisects_the_crossing(monkeypatch):
     probes = _count_probes(monkeypatch)
     assert eb_onset(Depolarization(T=1.0), 10.0) is not None
     assert len(probes) <= 40
+    assert probes.count("jacobi") == 0
+
+
+def _jacobi_onset(family, t_max):
+    # eb_onset's bisection with every probe decided by the Jacobi margin
+    def is_eb(t):
+        return pt_margin(channel_at(family, t)) >= 0.0
+
+    times = np.linspace(0.0, t_max, 1000).tolist()
+    if not is_eb(times[-1]):
+        return None
+    below, hit = 0, len(times) - 1
+    while hit - below > 1:
+        mid = (below + hit) // 2
+        if is_eb(times[mid]):
+            hit = mid
+        else:
+            below = mid
+    lo, hi = times[hit - 1], times[hit]
+    while hi - lo > 1e-9 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if is_eb(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -392,6 +426,27 @@ _families = st.one_of(
         omega=st.floats(min_value=-20.0, max_value=20.0),
     ),
 )
+
+
+# T2 > 2 T1 takes the family out of CP, where a positive determinant
+# decides nothing
+_non_cp_homogenizations = st.builds(
+    lambda T1, ratio, w, omega: Homogenization(T1, ratio * T1, w, omega),
+    st.floats(min_value=0.1, max_value=5.0),
+    st.floats(min_value=2.0, max_value=8.0, exclude_min=True),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=-20.0, max_value=20.0),
+)
+
+
+@settings(max_examples=200)
+@given(st.one_of(_families, _non_cp_homogenizations), st.floats(min_value=0.1, max_value=60.0))
+# w = 1 is never EB, yet near t = 50, and where e^{-t/T2} underflows,
+# its margins are rounding noise
+@example(Homogenization(1.5114095655303443, 2.5718852850371654, 1.0, 9.343618442948134), 50.0)
+@example(Homogenization(T1=1.0, T2=1.0, w=1.0), 2000.0)
+def test_eb_onset_equals_the_jacobi_bisection(family, t_max):
+    assert eb_onset(family, t_max) == _jacobi_onset(family, t_max)
 
 
 @settings(max_examples=150)
