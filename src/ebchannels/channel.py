@@ -15,7 +15,7 @@ import numpy as np
 
 from . import basis
 from .errors import BadAxis, DimensionMismatch, InvalidParameter, NotCP
-from .linalg import hermitian_eigenvalues, kron, svd3
+from .linalg import hermitian_eigenvalues, kron, partial_transpose, svd3
 from .tolerances import AXIS_NORM_TOL, CP_TOL
 
 __all__ = [
@@ -114,11 +114,8 @@ def seb_example_channel() -> QubitChannelAffine:
 
 
 def singlet_state() -> np.ndarray:
-    """The singlet projector, written as a Pauli sum over both factors."""
-    out = kron(_I2, _I2)
-    for p in _PAULI:
-        out = out - kron(p, p)
-    return out / 4.0
+    """The singlet projector: the Choi state of the identity channel."""
+    return choi(identity_channel())
 
 
 def _choi(n: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -130,10 +127,10 @@ def _choi(n: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _choi_min(n: np.ndarray, M: np.ndarray) -> np.ndarray:
-    # the CP gate: smallest Choi eigenvalue of one channel (n, M) or of a
+def _choi_min(choi_matrix: np.ndarray) -> np.ndarray:
+    # the CP gate: smallest eigenvalue of one Choi matrix or of each of a
     # stack (leading axes), raising NotCP for the first one below -CP_TOL
-    choi_min = hermitian_eigenvalues(_choi(n, M))[..., 0]
+    choi_min = hermitian_eigenvalues(choi_matrix)[..., 0]
     not_cp = np.flatnonzero(choi_min < -CP_TOL)
     if len(not_cp):
         bad = float(np.ravel(choi_min)[not_cp[0]])
@@ -151,23 +148,14 @@ def choi(phi: QubitChannelAffine) -> np.ndarray:
 
 
 def choi_partial_transpose(phi: QubitChannelAffine) -> np.ndarray:
-    """Partial transpose (second factor) of the Choi state.
-
-    Transposing the second factor negates its sigma_y and fixes sigma_x
-    and sigma_z, so this is `choi` with M's y column negated, equal entry
-    for entry to `partial_transpose(choi(phi), 2, 2)`.
-    """
-    return _choi_pt(phi.n, phi.M)
-
-
-def _choi_pt(n: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return _choi(n, M * (1.0, -1.0, 1.0))
+    """Partial transpose (second factor) of the Choi state."""
+    return partial_transpose(choi(phi), 2, 2)
 
 
 def validate_cptp(phi: QubitChannelAffine) -> CPTPReport:
     """Check complete positivity via the minimum Choi eigenvalue."""
     try:
-        return CPTPReport(is_cp=True, min_choi_eig=float(_choi_min(phi.n, phi.M)))
+        return CPTPReport(is_cp=True, min_choi_eig=float(_choi_min(choi(phi))))
     except NotCP as exc:
         return CPTPReport(is_cp=False, min_choi_eig=exc.min_eig)
 

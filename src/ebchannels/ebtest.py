@@ -18,14 +18,16 @@ import numpy as np
 from .channel import (
     CanonicalDecomposition,
     QubitChannelAffine,
+    _choi,
     _choi_min,
-    _choi_pt,
     canonical_form,
     choi_partial_transpose,
 )
 from .errors import PreconditionViolated
-from .linalg import _squares, hermitian_eigenvalues
-from .tolerances import CLOSED_FORM_TOL, EB_BOUNDARY_TOL, RANK_TOL
+from .linalg import (
+    _EIG_BACKWARD_C, _EPS, _squares, hermitian_eigenvalues, partial_transpose
+)
+from .tolerances import AXIS_ZERO_TOL, CLOSED_FORM_TOL, EB_BOUNDARY_TOL, RANK_TOL
 
 __all__ = [
     "EBMethod",
@@ -103,13 +105,12 @@ def _numeric_verdicts(
     n: np.ndarray, M: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # smallest Choi and PT-Choi eigenvalues and EB verdict of one channel
-    # (n, M) or of a stack (leading axes); NotCP for the first non-CP one
-    choi_min = _choi_min(n, M)
-    margin = hermitian_eigenvalues(_choi_pt(n, M))[..., 0]
+    # (n, M) or of a stack (leading axes), all read off one Choi matrix;
+    # NotCP for the first non-CP one
+    choi_matrix = _choi(n, M)
+    choi_min = _choi_min(choi_matrix)
+    margin = hermitian_eigenvalues(partial_transpose(choi_matrix, 2, 2))[..., 0]
     return choi_min, margin, margin >= -EB_BOUNDARY_TOL
-
-
-_EPS = 2.0**-52
 
 
 def _pt_det(n: np.ndarray, M: np.ndarray) -> tuple[float, float]:
@@ -169,10 +170,10 @@ def _pt_det(n: np.ndarray, M: np.ndarray) -> tuple[float, float]:
     # in absolute values, and ||A||_F <= (1 + |n|_1 + |M|_1) / 2 <=
     # sqrt(13) ||H||_F: under 10 eps ||H||_F.
     # Jacobi returns the eigenvalues of H' + E with ||E||_2 <= 64 n eps
-    # ||H'||_2 (64 n = 256 for n = 4, the constant `linalg._lapack_lowest`
-    # takes for Jacobi and LAPACK together).  By Weyl's inequality its
-    # smallest eigenvalue is within c_J eps ||H||_F of the exact one, with
-    # c_J = 256 + 16 = 272 (on the same channels the largest error was
+    # ||H'||_2 (64 = `_EIG_BACKWARD_C`, which `linalg._lapack_lowest` takes
+    # for Jacobi and LAPACK together).  By Weyl's inequality its smallest
+    # eigenvalue is within c_J eps ||H||_F of the exact one, with c_J = 64 n
+    # + 16 = 272 for n = 4 (on the same channels the largest error was
     # 1.4 eps ||H||_F).  Every |lam| <= ||H||_2 <= ||H||_F, so
     # |det H| <= |lam_min| ||H||_F^3: when |det H| > c_J eps ||H||_F^4,
     # |lam_min| exceeds Jacobi's error and Jacobi returns its sign.  With
@@ -195,7 +196,7 @@ def _pt_det(n: np.ndarray, M: np.ndarray) -> tuple[float, float]:
     band = 16.0 * _EPS * (
         1.0 + 2.0 * t2 + 3.0 * t2 * t2 + 8.0 * t2 * t2**0.5
         + 2.0 * nn + nn * nn + 6.0 * nn * t2
-    ) + 16.0 * 272.0 * _EPS * (1.0 + nn + t2) ** 2
+    ) + 16.0 * (_EIG_BACKWARD_C * 4 + 16.0) * _EPS * (1.0 + nn + t2) ** 2
     return det, band
 
 
@@ -315,11 +316,6 @@ def uniaxial_spectra(lam, n3: float) -> tuple[np.ndarray, np.ndarray]:
     return spec_rho, spec_pt
 
 
-# translation components below this are treated as exactly zero when
-# deciding which closed form applies
-_AXIS_ZERO_TOL = 1e-12
-
-
 def uniaxial_verdict(phi: QubitChannelAffine, axis: int) -> bool:
     """Checked single-axis criterion on a channel's canonical parameters.
 
@@ -329,7 +325,7 @@ def uniaxial_verdict(phi: QubitChannelAffine, axis: int) -> bool:
     canon = canonical_form(phi)
     i1, i2, _ = _axis_order(axis)
     off = max(abs(canon.n[i1]), abs(canon.n[i2]))
-    if off > _AXIS_ZERO_TOL:
+    if off > AXIS_ZERO_TOL:
         raise PreconditionViolated(
             f"translation has off-axis component {off:.3e}; the single-axis "
             "criterion does not apply"
@@ -338,7 +334,7 @@ def uniaxial_verdict(phi: QubitChannelAffine, axis: int) -> bool:
 
 
 def _closed_form(canon: CanonicalDecomposition) -> tuple[EBMethod | None, bool | None]:
-    nonzero_axes = [i for i in range(3) if abs(canon.n[i]) > _AXIS_ZERO_TOL]
+    nonzero_axes = [i for i in range(3) if abs(canon.n[i]) > AXIS_ZERO_TOL]
     if not nonzero_axes:
         return EBMethod.UNITAL_CLOSED_FORM, unital_eb_condition(canon.lam)
     if np.min(np.abs(canon.lam)) <= RANK_TOL:

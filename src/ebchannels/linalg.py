@@ -252,6 +252,12 @@ def _not_converged() -> ConvergenceFailure:
     )
 
 
+# machine epsilon (2**-52), and a bound on c_lapack + c_jacobi, the
+# backward-error constants of the two eigensolvers (see `_lapack_lowest`)
+_EPS = float(np.finfo(float).eps)
+_EIG_BACKWARD_C = 64.0
+
+
 def _lapack_lowest(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # LAPACK's smallest eigenvalue of each matrix of an exactly Hermitian
     # (N, n, n) stack, and a band delta = 64 n eps ||H||_F around it that
@@ -263,12 +269,12 @@ def _lapack_lowest(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # at most 1e-18 of a diagonal pair).  By Weyl's inequality each
     # computed eigenvalue is within ||E||_2 of the exact one, so the two
     # differ by at most (c_lapack + c_jacobi) n eps ||H||_2, and ||H||_2 <=
-    # ||H||_F.  64 stands for the sum of the two constants; the largest
-    # difference measured on 4x4 PT-Choi matrices is 5.4 eps ||H||_F.
-    # Only the search screen of `amend` reads this: no published number
-    # comes from LAPACK.
+    # ||H||_F.  `_EIG_BACKWARD_C` = 64 stands for the sum of the two
+    # constants; the largest difference measured on 4x4 PT-Choi matrices
+    # is 5.4 eps ||H||_F.  Only the search screen of `amend` reads this: no
+    # published number comes from LAPACK.
     lowest = np.linalg.eigvalsh(h)[:, 0]
-    delta = 64.0 * h.shape[-1] * np.finfo(float).eps * np.linalg.norm(h, axis=(1, 2))
+    delta = _EIG_BACKWARD_C * h.shape[-1] * _EPS * np.linalg.norm(h, axis=(1, 2))
     return lowest, delta
 
 
@@ -311,17 +317,18 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def partial_transpose(m: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """Transpose the second tensor factor of a (dim_a * dim_b) matrix.
 
-    Entry ((i, j), (k, l)) moves to ((i, l), (k, j)).  The map is an
-    involution and preserves trace and Hermiticity exactly.
+    Entry ((i, j), (k, l)) moves to ((i, l), (k, j)) in one matrix or in
+    each of a stack (..., dim, dim).  The map only moves entries, so it is
+    an involution and preserves trace and Hermiticity exactly.
     """
     m = np.asarray(m, dtype=complex)
     dim = dim_a * dim_b
-    if m.shape != (dim, dim):
+    if m.ndim < 2 or m.shape[-2:] != (dim, dim):
         raise DimensionMismatch(
             f"matrix shape {m.shape} does not match dimensions {dim_a} x {dim_b}"
         )
     return (
-        m.reshape(dim_a, dim_b, dim_a, dim_b)
-        .transpose(0, 3, 2, 1)
-        .reshape(dim, dim)
+        m.reshape(*m.shape[:-2], dim_a, dim_b, dim_a, dim_b)
+        .swapaxes(-3, -1)
+        .reshape(m.shape)
     )

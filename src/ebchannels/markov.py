@@ -165,11 +165,11 @@ def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
     cp = not (isinstance(family, Homogenization) and family.T2 > 2.0 * family.T1)
 
     def is_eb(t: float) -> bool:
-        phi = channel_at(family, t)
-        det, band = _pt_det(phi.n, phi.M)
+        (n,), (m,) = _params(family, np.array([t]))
+        det, band = _pt_det(n, m)
         if det < -band or (cp and det > band):
             return det > 0.0
-        return pt_margin(phi) >= 0.0
+        return pt_margin(QubitChannelAffine(n, m)) >= 0.0
 
     times = np.linspace(0.0, t_max, _ONSET_GRID).tolist()
     if not is_eb(times[-1]):

@@ -31,6 +31,10 @@ STATE_TOL = 1e-10
 # imaginary part allowed in coherence-vector coefficients before rejection
 COHERENCE_IMAG_TOL = 1e-12
 
+# canonical translation components at or below this count as exactly zero
+# when choosing the closed-form branch (unital, single-axis or none)
+AXIS_ZERO_TOL = 1e-12
+
 # rotation axes must be unit vectors within this
 AXIS_NORM_TOL = 1e-10
 

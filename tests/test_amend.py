@@ -28,7 +28,7 @@ from ebchannels import (
     seb_example_channel,
 )
 from ebchannels.amend import REFERENCE_AMENDED_STATE
-from ebchannels.channel import _choi_pt, _rotations
+from ebchannels.channel import _choi, _rotations
 from ebchannels.cli import amendment_report_dict
 from ebchannels.errors import InvalidParameter, NonPositiveOutput, NotCP
 from ebchannels.linalg import (
@@ -420,7 +420,9 @@ def test_screen_keeps_the_first_jacobi_argmax_of_near_ties(seed, count, spread):
         axes / np.linalg.norm(axes, axis=1)[:, None],
         rng.uniform(0.0, 2.0 * np.pi, 2 * count),
     ).reshape(2, count, 3, 3)
-    chois = _choi_pt(rotations[0] @ base.n, rotations[0] @ base.M @ rotations[1])
+    chois = partial_transpose(
+        _choi(rotations[0] @ base.n, rotations[0] @ base.M @ rotations[1]), 2, 2
+    )
     _, delta = _lapack_lowest(chois)
     shift = np.where(rng.random(count) < 0.5, 0.0, rng.uniform(-spread, spread, count))
     stack = chois + (shift * delta)[:, None, None] * np.eye(4)

@@ -24,6 +24,7 @@ from ebchannels import (
     unitary_channel,
     validate_cptp,
 )
+from ebchannels.channel import _choi
 from ebchannels.errors import BadAxis, DimensionMismatch, InvalidParameter
 from ebchannels.linalg import hermitian_eigenvalues, partial_transpose
 from helpers import (
@@ -226,8 +227,43 @@ def test_choi_partial_transpose_equals_generic_partial_transpose():
     ):
         channels += [channel_at(family, float(t)) for t in np.linspace(0.0, 50.0, 101)]
     for phi in channels:
-        generic = partial_transpose(choi(phi), 2, 2)
-        assert np.array_equal(choi_partial_transpose(phi), generic)
+        structural = _choi_y_negated(phi.n, phi.M)
+        assert choi_partial_transpose(phi).tobytes() == structural.tobytes()
+
+
+def _choi_y_negated(n, M):
+    # the structural partial transpose: transposing the second factor
+    # negates its sigma_y and fixes sigma_x and sigma_z, so it is the Choi
+    # matrix of M with its y column negated
+    return _choi(n, M * (1.0, -1.0, 1.0))
+
+
+def _signed_zero_parameters(rng, count):
+    # (count, 3) translations and (count, 3, 3) contractions over scales
+    # from 0 to 1e5, with +-0.0 scattered through n, M and M's y column
+    scale = rng.choice([0.0, 1e-300, 1e-3, 1.0, 1e5], count)
+    n = rng.uniform(-1.0, 1.0, (count, 3)) * scale[:, None]
+    M = rng.uniform(-1.0, 1.0, (count, 3, 3)) * scale[:, None, None]
+    for x in (n, M):
+        zero = rng.random(x.shape) < 0.3
+        x[zero] = rng.choice([0.0, -0.0], zero.sum())
+    y_zero = rng.random(count) < 0.3
+    M[y_zero, :, 1] = rng.choice([0.0, -0.0], (y_zero.sum(), 3))
+    return n, M
+
+
+def test_partial_transpose_of_choi_is_the_y_negated_choi_bit_for_bit():
+    n, M = _signed_zero_parameters(np.random.default_rng(62), 2000)
+    for one_n, one_m in zip(n, M):
+        pt = partial_transpose(_choi(one_n, one_m), 2, 2)
+        assert pt.tobytes() == _choi_y_negated(one_n, one_m).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 16, 513])
+def test_partial_transpose_of_choi_stack_is_the_y_negated_choi_bit_for_bit(count):
+    n, M = _signed_zero_parameters(np.random.default_rng(63 + count), count)
+    pt = partial_transpose(_choi(n, M), 2, 2)
+    assert pt.tobytes() == _choi_y_negated(n, M).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

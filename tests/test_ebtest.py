@@ -29,7 +29,13 @@ from ebchannels import (
     uniaxial_verdict,
     validate_cptp,
 )
-from ebchannels.channel import QubitChannelAffine, choi, choi_partial_transpose, compose
+from ebchannels.channel import (
+    QubitChannelAffine,
+    _choi,
+    choi,
+    choi_partial_transpose,
+    compose,
+)
 from ebchannels.ebtest import _pt_det
 from ebchannels.errors import NotCP, PreconditionViolated
 from ebchannels.linalg import _squares, hermitian_eigenvalues, svd3
@@ -399,8 +405,16 @@ def _count_calls(monkeypatch, func):
 def test_analyze_runs_two_eigensolves_and_one_svd(monkeypatch):
     eigs = _count_calls(monkeypatch, hermitian_eigenvalues)
     svds = _count_calls(monkeypatch, svd3)
+    # one Choi matrix serves the CP gate and the PPT test
+    builds = _count_calls(monkeypatch, _choi)
     analyze(amplitude_damping(0.3))
-    assert (len(eigs), len(svds)) == (2, 1)
+    assert (len(eigs), len(svds), len(builds)) == (2, 1, 1)
+
+
+def test_global_amendment_builds_one_choi_matrix(monkeypatch):
+    builds = _count_calls(monkeypatch, _choi)
+    global_amendment_example(amplitude_damping(0.3), identity_qudit_map(4))
+    assert len(builds) == 1
 
 
 def test_analyze_matches_separate_calls():

@@ -524,3 +524,29 @@ def test_partial_transpose_involution_and_conservation():
 def test_partial_transpose_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         partial_transpose(np.eye(4), 2, 3)
+
+
+def _partial_transpose_by_index(m, dim_a, dim_b):
+    out = np.empty_like(m)
+    for i, j, k, l in np.ndindex(dim_a, dim_b, dim_a, dim_b):
+        out[i * dim_b + j, k * dim_b + l] = m[i * dim_b + l, k * dim_b + j]
+    return out
+
+
+@pytest.mark.parametrize("lead, dim_a, dim_b", [((9,), 2, 2), ((2, 3), 2, 3), ((0,), 2, 2)])
+def test_partial_transpose_of_a_stack_transposes_each_matrix(lead, dim_a, dim_b):
+    rng = np.random.default_rng(18)
+    shape = (*lead, dim_a * dim_b, dim_a * dim_b)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = partial_transpose(stack, dim_a, dim_b)
+    assert got.shape == stack.shape
+    for index in np.ndindex(*lead):
+        one = partial_transpose(stack[index], dim_a, dim_b)
+        assert got[index].tobytes() == one.tobytes()
+        assert one.tobytes() == _partial_transpose_by_index(stack[index], dim_a, dim_b).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(16,), (4,), (3, 4, 2), (3, 2, 4), (2, 4, 4, 1)])
+def test_partial_transpose_rejects_wrong_trailing_shapes(shape):
+    with pytest.raises(DimensionMismatch):
+        partial_transpose(np.zeros(shape), 2, 2)
