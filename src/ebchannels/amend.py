@@ -351,27 +351,11 @@ def run_builtin_global_example(tol: float = 1e-12) -> BuiltinExampleReport:
     for ordering in (basis.ORDER_INTERLEAVED, basis.ORDER_GROUPED):
         try:
             result = global_amendment_example(base, qmap, ordering)
+            error = None
+            deviation = float(np.abs(result.output_state - REFERENCE_AMENDED_STATE).max())
         except NonPositiveOutput as exc:
-            attempts.append(
-                OrderingAttempt(
-                    ordering=ordering,
-                    result=None,
-                    error=str(exc),
-                    max_deviation=None,
-                )
-            )
-            continue
-        deviation = float(
-            np.abs(result.output_state - REFERENCE_AMENDED_STATE).max()
-        )
-        attempts.append(
-            OrderingAttempt(
-                ordering=ordering,
-                result=result,
-                error=None,
-                max_deviation=deviation,
-            )
-        )
-        if deviation < tol:
+            result, error, deviation = None, str(exc), None
+        attempts.append(OrderingAttempt(ordering, result, error, deviation))
+        if deviation is not None and deviation < tol:
             return BuiltinExampleReport(attempts=tuple(attempts), reproduced=ordering)
     return BuiltinExampleReport(attempts=tuple(attempts), reproduced=None)

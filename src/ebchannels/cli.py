@@ -231,20 +231,10 @@ def _unitary_dict(u: amend.UnitarySample) -> dict:
 
 
 def amendment_report_dict(report: amend.AmendmentReport) -> dict:
-    return {
-        "base_channel": _channel_dict(report.base_channel),
-        "n_layers": report.n_layers,
-        "trials": report.trials,
-        "seed": report.seed,
-        "prng": report.prng,
-        "base_is_eb": report.base_is_eb,
-        "base_margin": report.base_margin,
-        "best_margin": report.best_margin,
-        "best_pt_min_eig": report.best_pt_min_eig,
-        "best_trial": report.best_trial,
-        "best_unitaries": [_unitary_dict(u) for u in report.best_unitaries],
-        "amended": report.amended,
-    }
+    payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    payload["base_channel"] = _channel_dict(report.base_channel)
+    payload["best_unitaries"] = [_unitary_dict(u) for u in report.best_unitaries]
+    return payload
 
 
 def cmd_amend_local(args) -> int:

@@ -90,44 +90,47 @@ FAMILIES = {
 }
 
 
+def _rates(family: DynamicalFamily) -> tuple[float, float, float, float]:
+    """(T1, T2, w, omega) of the family as the homogenization it is."""
+    if isinstance(family, Homogenization):
+        return family.T1, family.T2, family.w, family.omega
+    if isinstance(family, Decoherence):
+        return math.inf, family.T, 0.0, family.omega
+    if isinstance(family, Depolarization):
+        return family.T, family.T, 0.0, 0.0
+    raise TypeError(f"unknown dynamical family {family!r}")
+
+
 def _params(
     family: DynamicalFamily, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Translations (k, 3) and contractions (k, 3, 3) at the k `times`."""
-    k = len(times)
-    n = np.zeros((k, 3))
-    m = np.zeros((k, 3, 3))
-    # -t / T and omega * t may overflow (or be inf * 0); a non-finite
-    # angle is rejected below, as scalar Python arithmetic would give it
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(family, Depolarization):
-            m[:] = _elementwise(math.exp, -times / family.T)[:, None, None] * np.eye(3)
-            return n, m
-        if isinstance(family, Decoherence):
-            damping = _elementwise(math.exp, -times / family.T)
-            m[:, 2, 2] = 1.0
-        elif isinstance(family, Homogenization):
-            damping = _elementwise(math.exp, -times / family.T2)
-            m[:, 2, 2] = _elementwise(math.exp, -times / family.T1)
-            n[:, 2] = family.w * (1.0 - m[:, 2, 2])
-        else:
-            raise TypeError(f"unknown dynamical family {family!r}")
-        angle = family.omega * times
-    bad = np.flatnonzero(~np.isfinite(angle))
-    if len(bad):
-        raise InvalidParameter(
-            f"rotation angle omega * t = {float(angle[bad[0]])} is not finite"
-        )
-    c = damping * _elementwise(math.cos, angle)
-    s = damping * _elementwise(math.sin, angle)
-    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] = c, s, -s, c
-    return n, m
+    """Translations (k, 3) and contractions (k, 3, 3) at the k `times`.
+
+    In Python floats: numpy's exp, cos and sin can differ from math's in
+    the last bit, which would change published digits.
+    """
+    T1, T2, w, omega = map(float, _rates(family))
+    ns, ms = [], []
+    for t in times.tolist():
+        angle = omega * t
+        if not math.isfinite(angle):
+            raise InvalidParameter(f"rotation angle omega * t = {angle} is not finite")
+        e1, e2 = math.exp(-t / T1), math.exp(-t / T2)
+        c, s = e2 * math.cos(angle), e2 * math.sin(angle)
+        ns += (0.0, 0.0, w * (1.0 - e1))
+        ms += (c, s, 0.0, -s, c, 0.0, 0.0, 0.0, e1)
+    return (
+        np.fromiter(ns, float, len(ns)).reshape(-1, 3),
+        np.fromiter(ms, float, len(ms)).reshape(-1, 3, 3),
+    )
 
 
 def channel_at(family: DynamicalFamily, t: float) -> QubitChannelAffine:
     """The family's channel at time t (identity at t = 0)."""
     if t < 0.0:
         raise NegativeTime(f"time must be nonnegative, got {t}")
+    if not math.isfinite(t):
+        raise InvalidParameter(f"time must be finite, got {t}")
     n, m = _params(family, np.array([float(t)]))
     return QubitChannelAffine(n[0], m[0])
 
@@ -151,8 +154,8 @@ def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
 
     Each probe asks the sign of det(Choi^Gamma) first (`ebtest._pt_det`).
     Outside its stated error band, a negative determinant means the
-    margin is negative, and for a CP family (every one but homogenization
-    with T2 > 2 T1) a positive determinant means it is positive.  Inside
+    margin is negative, and for a CP family (one whose rates have
+    T2 <= 2 T1) a positive determinant means it is positive.  Inside
     the band, and for a positive determinant of a non-CP family, the
     Jacobi margin decides as `pt_margin(channel_at(family, t)) >= 0`.
     Outside the band the two agree, so the bisection sees the same
@@ -162,7 +165,8 @@ def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
         raise InvalidParameter(f"t_max must be positive, got {t_max}")
     if not math.isfinite(t_max):
         raise InvalidParameter(f"t_max must be finite, got {t_max}")
-    cp = not (isinstance(family, Homogenization) and family.T2 > 2.0 * family.T1)
+    T1, T2, _, _ = _rates(family)
+    cp = not T2 > 2.0 * T1
 
     def is_eb(t: float) -> bool:
         (n,), (m,) = _params(family, np.array([t]))

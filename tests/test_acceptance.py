@@ -34,10 +34,11 @@ from ebchannels import (
     validate_cptp,
 )
 from ebchannels.amend import REFERENCE_AMENDED_STATE
+from ebchannels.channel import _choi
 from ebchannels.ebtest import _numeric_verdicts
 from ebchannels.linalg import hermitian_eigenvalues, partial_transpose
 from ebchannels.markov import _homogenization, _params
-from helpers import axial_channel, random_lambda1_zero_cp
+from helpers import random_lambda1_zero_cp
 
 
 def _report(num: int, ok: bool, detail: str = ""):
@@ -126,25 +127,28 @@ def test_criterion_03_vanishing_singular_value():
 def test_criterion_04_single_axis_translation():
     rng = np.random.default_rng(1004)
     spectra = ([], [])
-    chois = ([], [])
-    mismatches = 0
-    produced = 0
-    while produced < 10_000:
+    lams, n3s = [], []
+    while len(lams) < 10_000:
         lam = rng.uniform(-1.0, 1.0, 3)
         n3 = rng.uniform(-1.0, 1.0)
         spec_rho, spec_pt = uniaxial_spectra(lam, n3)
         if spec_rho.min() < 0.0:  # CP filter
             continue
-        produced += 1
-        phi = axial_channel(lam, n3)
-        verdict = is_eb_numeric(phi)
-        if abs(verdict.margin) > 1e-9:
-            if uniaxial_eb_condition(lam, n3, axis=2) != verdict.is_eb:
-                mismatches += 1
+        lams.append(lam)
+        n3s.append(n3)
         spectra[0].append(spec_rho)
         spectra[1].append(spec_pt)
-        chois[0].append(choi(phi))
-        chois[1].append(choi_partial_transpose(phi))
+    # the axial channels M = diag(lam), n = (0, 0, n3) as one stack
+    lams, n3s = np.array(lams), np.array(n3s)
+    n = np.zeros((len(n3s), 3))
+    n[:, 2] = n3s
+    M = np.zeros((len(lams), 3, 3))
+    M[:, [0, 1, 2], [0, 1, 2]] = lams
+    _, margins, is_eb = _numeric_verdicts(n, M)
+    closed = uniaxial_eb_condition(lams, n3s, axis=2)
+    mismatches = int(np.count_nonzero((np.abs(margins) > 1e-9) & (closed != is_eb)))
+    choi_matrices = _choi(n, M)
+    chois = (choi_matrices, partial_transpose(choi_matrices, 2, 2))
     worst = max(map(_max_spectrum_error, spectra, chois))
     _report(
         4,

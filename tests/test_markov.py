@@ -23,7 +23,7 @@ from ebchannels import (
 )
 from ebchannels import ebtest, markov
 from ebchannels.errors import InvalidParameter, NegativeTime, NotCP
-from ebchannels.linalg import hermitian_eigenvalues
+from ebchannels.linalg import _elementwise, hermitian_eigenvalues
 from ebchannels.tolerances import CLOSED_FORM_TOL, KNIFE_EDGE_BAND
 
 FAMILIES = [
@@ -52,6 +52,116 @@ def test_parameter_validation():
 def test_depolarization_hits_one_third():
     phi = channel_at(Depolarization(T=1.0), math.log(3.0))
     assert np.allclose(phi.M, np.eye(3) / 3.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_channel_at_refuses_a_non_finite_time(family):
+    for t in (math.inf, math.nan):
+        with pytest.raises(InvalidParameter, match=f"^time must be finite, got {t}$"):
+            channel_at(family, t)
+    with pytest.raises(NegativeTime):
+        channel_at(family, -math.inf)
+
+
+def _numpy_params(family, times):
+    # the per-family numpy builder `_params` replaced, kept as a reference
+    k = len(times)
+    n = np.zeros((k, 3))
+    m = np.zeros((k, 3, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(family, Depolarization):
+            m[:] = _elementwise(math.exp, -times / family.T)[:, None, None] * np.eye(3)
+            return n, m
+        if isinstance(family, Decoherence):
+            damping = _elementwise(math.exp, -times / family.T)
+            m[:, 2, 2] = 1.0
+        else:
+            damping = _elementwise(math.exp, -times / family.T2)
+            m[:, 2, 2] = _elementwise(math.exp, -times / family.T1)
+            n[:, 2] = family.w * (1.0 - m[:, 2, 2])
+        angle = family.omega * times
+    bad = np.flatnonzero(~np.isfinite(angle))
+    if len(bad):
+        raise InvalidParameter(
+            f"rotation angle omega * t = {float(angle[bad[0]])} is not finite"
+        )
+    c = damping * _elementwise(math.cos, angle)
+    s = damping * _elementwise(math.sin, angle)
+    m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1] = c, s, -s, c
+    return n, m
+
+
+def _random_grids(rng, count):
+    # families on grids of every length the scans use, with time constants
+    # scaled down to 1e-300 and grids stretched up to 1e300 now and then
+    for _ in range(count):
+        T1, T2 = rng.uniform(0.05, 5.0, 2) * rng.choice([1e-300, 1e-3, 1.0, 1.0, 1.0])
+        t_max = rng.uniform(0.1, 60.0) * rng.choice([1.0, 1.0, 1.0, 1e3, 1e300])
+        w = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        omega = float(rng.choice([0.0, rng.uniform(-20.0, 20.0)]))
+        times = np.linspace(0.0, t_max, rng.choice([1, 2, 16, 200, 301]))
+        for family in (
+            Decoherence(T=T1, omega=omega),
+            Depolarization(T=T1),
+            Homogenization(T1=T1, T2=T2, w=w, omega=omega),
+        ):
+            yield family, times
+
+
+def test_params_equal_the_numpy_builder_bit_for_bit():
+    # up to the sign of zero at M[1, 0], which depolarization now shares
+    # with homogenization at omega = 0
+    for family, times in _random_grids(np.random.default_rng(71), 200):
+        n, m = markov._params(family, times)
+        n_ref, m_ref = _numpy_params(family, times)
+        assert n.tobytes() == n_ref.tobytes()
+        assert (m + 0.0).tobytes() == (m_ref + 0.0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "family, t_max",
+    [
+        (Decoherence(T=1.0, omega=math.inf), 1.0),
+        (Homogenization(T1=1.0, T2=1.0, w=0.5, omega=-math.inf), 1.0),
+        (Decoherence(T=1.0, omega=1e10), 1e300),
+        (Homogenization(T1=1.0, T2=1.0, w=0.5, omega=-1e10), 1e300),
+    ],
+)
+def test_params_reject_a_non_finite_angle_as_the_numpy_builder(family, t_max):
+    times = np.linspace(0.0, t_max, 16)
+    with pytest.raises(InvalidParameter) as expected:
+        _numpy_params(family, times)
+    with pytest.raises(InvalidParameter) as excinfo:
+        markov._params(family, times)
+    assert str(excinfo.value) == str(expected.value)
+
+
+def _as_homogenization(family):
+    if isinstance(family, Decoherence):
+        return Homogenization(T1=math.inf, T2=family.T, w=0.0, omega=family.omega)
+    return Homogenization(T1=family.T, T2=family.T, w=0.0, omega=0.0)
+
+
+def test_decoherence_and_depolarization_params_are_homogenizations():
+    for family, times in _random_grids(np.random.default_rng(72), 100):
+        if not isinstance(family, Homogenization):
+            twin = _as_homogenization(family)
+            for one, other in zip(markov._params(family, times), markov._params(twin, times)):
+                assert one.tobytes() == other.tobytes()
+
+
+@pytest.mark.parametrize(
+    "family",
+    [Decoherence(T=1.0, omega=5.0), Decoherence(T=0.3, omega=0.0), Depolarization(T=1.0)],
+)
+def test_decoherence_and_depolarization_scan_and_onset_as_homogenizations(family):
+    twin = _as_homogenization(family)
+    for t_max in (0.5, 3.0, 60.0):
+        columns = scan(family, 0.0, t_max, 301).columns
+        twin_columns = scan(twin, 0.0, t_max, 301).columns
+        for name in ("margin", "lam1", "lam2", "lam3"):
+            assert columns[name].tobytes() == twin_columns[name].tobytes()
+        assert eb_onset(family, t_max) == eb_onset(twin, t_max)
 
 
 def test_homogenization_canonical_parameters():
