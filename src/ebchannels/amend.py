@@ -40,7 +40,7 @@ from .linalg import (
     hermitian_eigenvalues,
     partial_transpose,
 )
-from .tolerances import AMEND_TOL, EB_BOUNDARY_TOL, OUTPUT_PSD_TOL
+from .tolerances import EB_BOUNDARY_TOL, OUTPUT_PSD_TOL
 
 __all__ = [
     "UnitarySample",
@@ -184,7 +184,10 @@ def local_amendment_search(
     best_axes = best_angles = ()
     for start in range(0, trials, STACK_BLOCK):
         block = min(STACK_BLOCK, trials - start)
-        axes, angles = _sample_unitaries(rng, block * layers)
+        try:
+            axes, angles = _sample_unitaries(rng, block * layers)
+        except (MemoryError, ValueError) as exc:  # numpy refuses the size
+            raise InvalidParameter(f"n_layers = {n_layers} is too large: {exc}") from exc
         rotations = _rotations(axes, angles).reshape(block, layers, 3, 3)
         chois = _interleaved_pt_chois(base, rotations)
         lowest, delta = _lapack_lowest(chois)
@@ -216,7 +219,7 @@ def local_amendment_search(
         best_pt_min_eig=float(-best_violation),
         best_trial=best_trial,
         best_unitaries=best_unitaries,
-        amended=bool(base_verdict.is_eb and best_violation > AMEND_TOL),
+        amended=bool(base_verdict.is_eb and best_violation > EB_BOUNDARY_TOL),
     )
 
 

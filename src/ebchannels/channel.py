@@ -42,10 +42,13 @@ __all__ = [
 _I2 = np.eye(2, dtype=complex)
 _PAULI = tuple(basis.pauli_basis().ops)
 
-# sigma_i (x) I and sigma_i (x) sigma_j, precomputed for Choi assembly
-_PI = np.stack([kron(p, _I2) for p in _PAULI])
-_PP = np.stack([np.stack([kron(a, b) for b in _PAULI]) for a in _PAULI])
-_I4 = np.eye(4, dtype=complex)
+# sigma_i (x) I and sigma_i (x) sigma_j as real views, so Choi assembly is a
+# real matrix product (BLAS threads a complex one, which can stall for ms).
+# The bytes are the complex product's: with factors 0 and +-1 each part of an
+# entry is one or two exact products summed once; zeros are +0 after `_I4 +`
+_PI = np.stack([kron(p, _I2) for p in _PAULI]).view(float)
+_PP = np.stack([np.stack([kron(a, b) for b in _PAULI]) for a in _PAULI]).view(float)
+_I4 = np.eye(4, dtype=complex).view(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +127,7 @@ def _choi(n: np.ndarray, M: np.ndarray) -> np.ndarray:
         out = 0.25 * (_I4 + np.tensordot(n, _PI, axes=1) - np.tensordot(M, _PP, axes=2))
     if not np.isfinite(out).all():
         raise InvalidParameter("channel parameters overflow the Choi matrix")
-    return out
+    return out.view(complex)
 
 
 def _choi_min(choi_matrix: np.ndarray) -> np.ndarray:

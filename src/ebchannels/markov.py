@@ -282,7 +282,10 @@ def scan(
         raise InvalidParameter(f"t_max must be finite, got {t_max}")
     if t_min < 0.0:
         raise NegativeTime(f"t_min must be nonnegative, got {t_min}")
-    times = np.linspace(t_min, t_max, steps)
+    try:
+        times = np.linspace(t_min, t_max, steps)
+    except (MemoryError, ValueError) as exc:  # beyond numpy's memory or index range
+        raise InvalidParameter(f"steps = {steps} is too large: {exc}") from exc
     n, m = _params(family, times)
     _, margins, is_eb = _numeric_verdicts(n, m)
     # the singular values of `canonical_form`, taken from the same LAPACK

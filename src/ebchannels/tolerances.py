@@ -41,7 +41,3 @@ AXIS_NORM_TOL = 1e-10
 # abstract amendment maps may leave the state set; outputs with an
 # eigenvalue below -OUTPUT_PSD_TOL are reported as non-positive
 OUTPUT_PSD_TOL = 1e-8
-
-# amendment search: a composite counts as amended (entangled output) only
-# when its partial-transpose violation exceeds this
-AMEND_TOL = 1e-10

@@ -37,7 +37,7 @@ from ebchannels.linalg import (
     hermitian_eigenvalues,
     partial_transpose,
 )
-from ebchannels.tolerances import AMEND_TOL
+from ebchannels.tolerances import EB_BOUNDARY_TOL
 from helpers import random_cptp_channel
 
 
@@ -102,6 +102,9 @@ def test_local_search_validation():
         local_amendment_search(seb_example_channel(), n_layers=1, trials=10, seed=0)
     with pytest.raises(InvalidParameter):
         local_amendment_search(seb_example_channel(), n_layers=2, trials=0, seed=0)
+    for n_layers in (10**17, 10**23):  # numpy refuses both before allocating
+        with pytest.raises(InvalidParameter, match=f"n_layers = {n_layers} is too"):
+            local_amendment_search(depolarizing_channel(0.3), n_layers, 2, 1)
     with pytest.raises(NotCP):
         local_amendment_search(diagonal_channel([1.0, 1.0, -1.0]), 2, 10, 0)
 
@@ -363,7 +366,7 @@ def _assert_matches_unfiltered(base, n_layers, trial_counts, seed):
         assert (report.best_trial, report.best_unitaries) == (trial, unitaries)
         assert float(violation).hex() == report.best_margin.hex()
         assert float(-violation).hex() == report.best_pt_min_eig.hex()
-        assert report.amended == bool(report.base_is_eb and violation > AMEND_TOL)
+        assert report.amended == bool(report.base_is_eb and violation > EB_BOUNDARY_TOL)
 
 
 _NAMED_BASES = {

@@ -28,6 +28,7 @@ from ebchannels.channel import _choi
 from ebchannels.errors import BadAxis, DimensionMismatch, InvalidParameter
 from ebchannels.linalg import hermitian_eigenvalues, partial_transpose
 from helpers import (
+    PAULI4,
     apply_to_first_factor,
     random_cptp_channel,
     random_density,
@@ -264,6 +265,60 @@ def test_partial_transpose_of_choi_stack_is_the_y_negated_choi_bit_for_bit(count
     n, M = _signed_zero_parameters(np.random.default_rng(63 + count), count)
     pt = partial_transpose(_choi(n, M), 2, 2)
     assert pt.tobytes() == _choi_y_negated(n, M).tobytes()
+
+
+def _choi_complex_tables(n, M):
+    # the Choi contraction over complex Pauli tables, which `_choi` makes
+    # over their real views
+    paulis = PAULI4[1:]
+    pi = np.stack([np.kron(a, np.eye(2)) for a in paulis])
+    pp = np.stack([np.stack([np.kron(a, b) for b in paulis]) for a in paulis])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 0.25 * (
+            np.eye(4, dtype=complex)
+            + np.tensordot(n, pi, axes=1)
+            - np.tensordot(M, pp, axes=2)
+        )
+    if not np.isfinite(out).all():
+        raise InvalidParameter("channel parameters overflow the Choi matrix")
+    return out
+
+
+def _scaled_signed_zero_parameters(rng, count, scales):
+    n, M = _signed_zero_parameters(rng, count)
+    scale = rng.choice(scales, count)
+    return n * scale[:, None], M * scale[:, None, None]
+
+
+def test_choi_is_the_complex_table_contraction_bit_for_bit():
+    # scales from subnormal to 1e308, where the sums overflow: both raise
+    # the same error or agree in every byte
+    n, M = _scaled_signed_zero_parameters(
+        np.random.default_rng(64), 2000, [1.0, 1e-20, 1e150, 1e300, 1e303]
+    )
+    overflowed = 0
+    for one_n, one_m in zip(n, M):
+        try:
+            want = _choi_complex_tables(one_n, one_m).tobytes()
+        except InvalidParameter as exc:
+            with pytest.raises(InvalidParameter, match=str(exc)):
+                _choi(one_n, one_m)
+            overflowed += 1
+        else:
+            assert _choi(one_n, one_m).tobytes() == want
+    assert 0 < overflowed < 2000
+
+
+@pytest.mark.parametrize("count", [1, 16, 513])
+def test_choi_stack_is_the_complex_table_contraction_bit_for_bit(count):
+    n, M = _scaled_signed_zero_parameters(
+        np.random.default_rng(65 + count), count, [1.0, 1e-20, 1e150, 1e295]
+    )
+    assert _choi(n, M).tobytes() == _choi_complex_tables(n, M).tobytes()
+    M[-1] = 1e308
+    for build in (_choi, _choi_complex_tables):
+        with pytest.raises(InvalidParameter, match="overflow the Choi matrix"):
+            build(n, M)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

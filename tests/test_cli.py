@@ -323,6 +323,28 @@ def test_non_finite_input_exits_one(argv, tmp_path, capsys):
     assert "finite" in err
 
 
+# sizes numpy refuses before touching memory: 10**17 floats are 711 PiB,
+# and 10**23 is past its index range
+@pytest.mark.parametrize("size", [10**17, 10**23])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["markov", "--family", "depolarization", "--t-max", "1",
+          "--output", "{tmp}/x.csv", "--steps"], "steps"),
+        (["amend", "local", "--preset", "depolarizing:0.3", "--trials", "2",
+          "--seed", "1", "--layers"], "n_layers"),
+    ],
+)
+def test_oversized_grid_or_draws_exit_one(argv, name, size, tmp_path, capsys):
+    argv = [*(a.format(tmp=tmp_path) for a in argv), str(size)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    _assert_one_error_line(err)
+    assert f"error: {name} = {size} is too large: " in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("command", [["analyze"], ["amend", "local", "--seed", "1"]])
 @pytest.mark.parametrize(
     "source",

@@ -202,9 +202,10 @@ def test_stacked_eigenvalues_match_per_matrix():
 
 def test_stacked_eigenvalues_round_like_the_scalar_sweep():
     # the same floating-point operations per matrix, so batching changes no
-    # published digit
+    # published digit, also for the matrices of a block that finish many
+    # sweeps before the others and stay in the sweep
     family = Homogenization(T1=1.3, T2=0.6, w=0.7, omega=4.0)
-    stack = np.concatenate(
+    scan_like = np.concatenate(
         [
             _random_pt_chois(np.random.default_rng(21), 300),
             [
@@ -213,8 +214,42 @@ def test_stacked_eigenvalues_round_like_the_scalar_sweep():
             ],
         ]
     )
-    assert _hex(hermitian_eigenvalues(stack)) == _hex(
-        [hermitian_eigenvalues(m) for m in stack]
+    uneven = _uneven_stack()
+    assert len(uneven) > linalg.STACK_BLOCK
+    for stack in (scan_like, uneven, uneven[::-1]):
+        assert _hex(hermitian_eigenvalues(stack)) == _hex(
+            [hermitian_eigenvalues(m) for m in stack]
+        )
+
+
+def _uneven_stack():
+    # 700 matrices that finish many sweeps apart, grouped by kind so that
+    # each block mixes kinds in either order: diagonal ones with +-0 off the
+    # diagonal and identities, graded near-singular ones with margins from
+    # 1e-30 to 1e-8, dense random ones, and matrices full of signed zeros
+    rng = np.random.default_rng(27)
+    signed = rng.choice([0.0, -0.0], (2, 150, 4, 4))
+    diagonal = signed[0] + 0j
+    diagonal.imag = signed[1]
+    diagonal[:, range(4), range(4)] = rng.uniform(-1.0, 1.0, (150, 4))
+    graded = [
+        _graded_x_matrix(10.0**log_a, 10.0**log_b, ratio, phase)
+        for log_a, log_b, ratio, phase in zip(
+            rng.uniform(-30.0, -8.0, 200),
+            rng.uniform(-30.0, -8.0, 200),
+            rng.uniform(0.0, 3.0, 200),
+            rng.uniform(0.0, 2.0 * np.pi, 200),
+        )
+    ]
+    b = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
+    return np.concatenate(
+        [
+            diagonal,
+            np.broadcast_to(np.eye(4), (50, 4, 4)),
+            graded,
+            b + b.conj().swapaxes(1, 2),
+            _signed_zero_stack()[::10],
+        ]
     )
 
 

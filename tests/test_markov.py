@@ -387,6 +387,9 @@ def test_scan_validation():
         scan(Depolarization(T=1.0), 0.0, 1.0, 1)
     with pytest.raises(InvalidParameter):
         scan(Depolarization(T=1.0), 2.0, 1.0, 10)
+    for steps in (10**17, 10**23):  # numpy refuses both before allocating
+        with pytest.raises(InvalidParameter, match=f"steps = {steps} is too large"):
+            scan(Depolarization(T=1.0), 0.0, 1.0, steps)
 
 
 def test_scan_csv_format():
