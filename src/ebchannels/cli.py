@@ -335,10 +335,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process, never mutated: argparse writes only to the
+# namespace it returns and looks up sys.stdout/sys.stderr when it prints
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one `ebchan` command and return its exit code.
+
+    `main` is reentrant and keeps no state between calls: the parser is
+    built once, at import of this module, and every call parses its own
+    `argv` (`sys.argv[1:]` when None) into a fresh namespace.  The exit
+    codes are those of the module docstring, on every input: argparse's
+    own failures map to 1 (and `--help` to 0), and library errors are
+    reported as one `error:` line on stderr, never as a traceback.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with code 2 on bad flags; map to the parse-error code
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK

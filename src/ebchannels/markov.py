@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -304,16 +305,15 @@ def scan(
     return TimeScan(family, columns)
 
 
-def _cell(value: float | bool) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format(value, ".17g")
-
-
 def scan_to_csv(result: TimeScan) -> str:
     """Render a scan in the published CSV row format (17 significant digits)."""
-    rows = zip(*(column.tolist() for column in result.columns.values()))
-    lines = [",".join(result.columns)] + [",".join(map(_cell, row)) for row in rows]
+    cells = [
+        map(("false", "true").__getitem__, column.tolist())
+        if column.dtype == bool
+        else map(format, column.tolist(), repeat(".17g"))
+        for column in result.columns.values()
+    ]
+    lines = [",".join(result.columns), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
 

@@ -69,12 +69,26 @@ def random_cptp_channel(rng: np.random.Generator) -> QubitChannelAffine:
 
 
 def random_kraus_channel(rng: np.random.Generator, rank: int) -> QubitChannelAffine:
-    """CP channel with `rank` random Kraus operators, translated off every axis.
-
-    The affine parameters are read from the Kraus sum itself:
-    n_i = tr(sigma_i phi(I)) / 2 and M_ij = tr(sigma_i phi(sigma_j)) / 2.
-    """
+    """CP channel with `rank` random Kraus operators, translated off every axis."""
     k = rng.standard_normal((rank, 2, 2)) + 1j * rng.standard_normal((rank, 2, 2))
+    return _kraus_channel(k)
+
+
+def random_eb_channel(rng: np.random.Generator, rank: int) -> QubitChannelAffine:
+    """Measure-and-prepare channel with `rank` >= 2 rank-one Kraus operators.
+
+    A channel with rank-one Kraus operators |a_i><b_i| is entanglement
+    breaking, and every EB channel has such a form (Horodecki, Shor and
+    Ruskai, Rev. Math. Phys. 15, 629 (2003)).  One operator alone cannot
+    preserve the trace: a rank-one Choi matrix is a unitary's.
+    """
+    a, b = rng.standard_normal((2, rank, 2)) + 1j * rng.standard_normal((2, rank, 2))
+    return _kraus_channel(a[:, :, None] * b.conj()[:, None, :])
+
+
+def _kraus_channel(k: np.ndarray) -> QubitChannelAffine:
+    # The affine parameters are read from the Kraus sum itself:
+    # n_i = tr(sigma_i phi(I)) / 2 and M_ij = tr(sigma_i phi(sigma_j)) / 2.
     # K_i S^(-1/2), with S = sum K_i^dagger K_i, preserves the trace
     w, v = np.linalg.eigh(np.einsum("kji,kjl->il", k.conj(), k))
     k = k @ (v / np.sqrt(w)) @ v.conj().T

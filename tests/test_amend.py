@@ -38,7 +38,7 @@ from ebchannels.linalg import (
     partial_transpose,
 )
 from ebchannels.tolerances import EB_BOUNDARY_TOL
-from helpers import random_cptp_channel
+from helpers import random_cptp_channel, random_eb_channel
 
 
 def test_interleave_empty_is_base():
@@ -76,6 +76,34 @@ def test_local_search_rank_deficient_base_never_amends():
         assert report.best_margin <= 1e-12
         assert report.best_pt_min_eig >= -1e-12
         assert len(report.best_unitaries) == layers - 1
+
+
+# An EB channel composed with any channel is EB, so no interleaving of an
+# EB base entangles: the search can find no violation at any depth.
+@settings(max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank=st.integers(2, 4),
+    layers=st.integers(2, 4),
+)
+def test_local_search_never_amends_an_eb_base(seed, rank, layers):
+    base = random_eb_channel(np.random.default_rng(seed), rank)
+    report = local_amendment_search(base, n_layers=layers, trials=50, seed=seed)
+    assert report.base_is_eb
+    assert report.amended is False
+    assert report.best_margin <= 1e-12
+
+
+@pytest.mark.parametrize("layers", [2, 3, 4])
+@pytest.mark.parametrize("p", [1 / 3, -1 / 3, 0.2, -0.25, 0.05, 0.0])
+def test_local_search_on_depolarizing_bases_meets_the_unital_ceiling(p, layers):
+    # the unital ceiling (sigma1^L + sigma2^L + sgn(det M)^L sigma3^L - 1) / 4,
+    # met by every trial: each interleaving of depolarizing(p) is p^L times
+    # a rotation
+    sigma, sign = abs(p), float(np.sign(p))
+    ceiling = (sigma**layers + sigma**layers + sign**layers * sigma**layers - 1.0) / 4.0
+    report = local_amendment_search(depolarizing_channel(p), n_layers=layers, trials=20, seed=5)
+    assert abs(report.best_margin - ceiling) <= 1e-12
 
 
 def test_local_search_identity_base_flags_not_eb():

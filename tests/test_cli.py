@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ebchannels import cli
 from ebchannels.cli import main
 from ebchannels.markov import FAMILIES
 
@@ -472,6 +473,62 @@ def test_amend_local_negative_seed_exits_one(capsys):
 
 
 def test_threads_option_is_gone(capsys):
+    assert main(["--threads", "8", "analyze", "--preset", "identity"]) == 1
+    capsys.readouterr()
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # failures of every kind between valid calls, in two orders: the parser
+    # built at import is shared, so each call's bytes must not depend on
+    # the calls before it
+    output = tmp_path / "scan.csv"
+    sequence = [
+        ["markov", "--family", "nope", "--t-max", "1", "--output", str(output)],
+        ["--threads", "8", "analyze", "--preset", "identity"],
+        ["amend", "local", "--preset", "identity"],  # --seed is required
+        ["--help"],
+        ["analyze", "--preset", "identity"],
+        ["markov", "--family", "depolarization", "--t-max", "2", "--steps", "5",
+         "--output", str(output)],
+        ["amend", "local", "--preset", "seb-example", "--layers", "2", "--trials", "10",
+         "--seed", "1"],
+    ]
+
+    def run(order):
+        results = {}
+        for argv in order:
+            written = None
+            code, out, err = run_cli(capsys, *argv)
+            if output.exists():
+                written = output.read_bytes()
+                output.unlink()
+            results[tuple(argv)] = (code, out, err, written)
+        return results
+
+    forward = run(sequence)
+    backward = run(sequence[::-1])
+    assert forward == backward
+    assert [forward[tuple(argv)][0] for argv in sequence] == [1, 1, 1, 0, 0, 0, 0]
+    assert forward[("--help",)][1].startswith("usage: ebchan ")
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    usual = run_cli(capsys, "analyze", "--preset", "identity")
+
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run_cli(capsys, "analyze", "--preset", "identity") == usual
+    assert usual[0] == 0
+
+
+def test_build_parser_returns_a_parser_of_its_own(capsys):
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    # a caller that extends its own parser does not extend `main`'s
+    first.add_argument("--threads")
+    assert first.parse_args(["--threads", "8", "analyze", "--preset", "identity"]).threads == "8"
     assert main(["--threads", "8", "analyze", "--preset", "identity"]) == 1
     capsys.readouterr()
 

@@ -562,6 +562,35 @@ def test_eb_onset_equals_the_jacobi_bisection(family, t_max):
     assert eb_onset(family, t_max) == _jacobi_onset(family, t_max)
 
 
+def _row_wise_csv(result):
+    # the row-by-row writer that `scan_to_csv` replaced, kept as its reference
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format(value, ".17g")
+
+    rows = zip(*(column.tolist() for column in result.columns.values()))
+    lines = [",".join(result.columns)] + [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(
+    _families,
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.01, max_value=60.0),
+    st.integers(min_value=2, max_value=310),
+)
+# the three named families; the homogenization scan carries both values
+# in both bool columns, is_eb and cf_eb
+@example(FAMILIES[0], 0.0, 5.0, 301)
+@example(FAMILIES[1], 0.5, 2.5, 2)
+@example(FAMILIES[2], 0.0, 5.0, 301)
+def test_scan_csv_equals_the_row_wise_writer(family, t_min, width, steps):
+    result = scan(family, t_min, t_min + width, steps)
+    assert scan_to_csv(result) == _row_wise_csv(result)
+
+
 @settings(max_examples=150)
 @given(_families, _times, _times)
 def test_semigroup_composition(family, s, t):
