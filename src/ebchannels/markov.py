@@ -16,7 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from .channel import QubitChannelAffine
-from .ebtest import _numeric_verdicts, _pt_det, pt_margin, uniaxial_eb_condition
+from .ebtest import _numeric_verdicts, pt_margin, uniaxial_eb_condition
 from .errors import InvalidParameter, NegativeTime
 from .linalg import _elementwise, _squares
 
@@ -136,6 +136,57 @@ def channel_at(family: DynamicalFamily, t: float) -> QubitChannelAffine:
     return QubitChannelAffine(n[0], m[0])
 
 
+def _pt_factor(n: np.ndarray, m: np.ndarray) -> float:
+    """The factor g of a `_params` row that has the sign of its PT margin.
+
+    A row has n = (0, 0, n3) and M = [[c, s, 0], [-s, c, 0], [0, 0, e1]],
+    so its partially transposed Choi matrix is an X-state, with
+    eigenvalues (1 - e1 -+ b) / 4 and (1 + e1 -+ |n3|) / 4, where
+    b^2 = 4 (c^2 + s^2) + n3^2.  As b >= |n3| and 0 <= e1 <= 1, the
+    smallest is (1 - e1 - b) / 4 = g / (4 (1 - e1 + b)), with
+
+        g = (1 - e1)^2 - 4 (c^2 + s^2) - n3^2,
+
+    exactly for the float row, CP or not.
+    """
+    (c, s, _), _, (_, _, e1) = m.tolist()
+    n3 = n.tolist()[2]
+    d = 1.0 - e1
+    return d * d - (4.0 * (c * c + s * s) + n3 * n3)
+
+
+# Outside this band the sign of `_pt_factor` is the sign of `pt_margin` of
+# the same row.  It is the sum of two bounds.
+#
+# Rounding of g.  Each value computed with + - * carries the terms of its
+# formal expansion, each times at most k factors (1 + delta), |delta| <=
+# u = eps / 2, k the roundings along its path (a sum adds one to the
+# larger count, a product adds one to the sum of both; the scaling by 4
+# is exact).  d = 1 - e1 is one rounded factor, so d * d has k = 3, the
+# bracket k = 3 and g k = 4: |error| <= gamma_4 S, just over 2 eps S,
+# with S = (1 - e1)^2 + 4 (c^2 + s^2) + n3^2 <= 6 (c^2 + s^2 <= e2^2 and
+# |n3| <= 1, up to a few eps), plus at most 2^-1072 where squares
+# underflow.
+#
+# Jacobi's error.  `pt_margin` sweeps the assembled matrix H'.  Each real
+# or imaginary part of an entry of H' sums the identity and at most 6
+# parameters times 0, +-1 or +-i (products exact, at most 5 roundings), so
+# ||H' - H||_2 <= gamma_5 ||A||_F with A the same sums in absolute values,
+# and ||A||_F <= (1 + |n|_1 + |M|_1) / 2 <= sqrt(13) ||H||_F: under
+# 10 eps ||H||_F.  Jacobi returns the eigenvalues of H' + E with ||E||_2
+# <= 64 n eps ||H'||_2 (64 = `linalg._EIG_BACKWARD_C`, which
+# `linalg._lapack_lowest` takes for Jacobi and LAPACK together).  By
+# Weyl's inequality its smallest eigenvalue is within c_J eps ||H||_F of
+# the exact one, with c_J = 64 n + 16 = 272 for n = 4.  Here ||H||_F^2 =
+# (1 + |n|^2 + tr M^T M) / 4 <= 5 / 4 (the Pauli products are orthogonal
+# with squared norm 4).
+#
+# The margin is g / (4 (1 - e1 + b)), and 4 (1 - e1 + b) <= 4 (1 + sqrt 5)
+# < 13.  So when |computed g| exceeds 13 c_J eps sqrt(5 / 4) + 2.01 eps S,
+# about 3966 eps, the exact g has its sign and the exact margin exceeds
+# Jacobi's error, and Jacobi returns that sign.  2^-40 is 4096 eps.
+_PT_FACTOR_BAND = 2.0**-40
+
 # the grid whose first EB point brackets the onset; it fixes where the
 # refinement starts, and so the reported digits
 _ONSET_GRID = 1000
@@ -153,27 +204,22 @@ def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
     whose margin approaches zero from below without ever reaching it
     must not report a spurious finite onset.
 
-    Each probe asks the sign of det(Choi^Gamma) first (`ebtest._pt_det`).
-    Outside its stated error band, a negative determinant means the
-    margin is negative, and for a CP family (one whose rates have
-    T2 <= 2 T1) a positive determinant means it is positive.  Inside
-    the band, and for a positive determinant of a non-CP family, the
-    Jacobi margin decides as `pt_margin(channel_at(family, t)) >= 0`.
-    Outside the band the two agree, so the bisection sees the same
-    answers either way and the onset digits are Jacobi's.
+    Each probe reads the family factor g of its channel (`_pt_factor`).
+    Outside `_PT_FACTOR_BAND` its sign decides; inside it, the Jacobi
+    margin decides as `pt_margin(channel_at(family, t)) >= 0`.  Outside
+    the band the two agree, so the bisection sees the same answers either
+    way and the onset digits are Jacobi's.
     """
     if not t_max > 0.0:
         raise InvalidParameter(f"t_max must be positive, got {t_max}")
     if not math.isfinite(t_max):
         raise InvalidParameter(f"t_max must be finite, got {t_max}")
-    T1, T2, _, _ = _rates(family)
-    cp = not T2 > 2.0 * T1
 
     def is_eb(t: float) -> bool:
         (n,), (m,) = _params(family, np.array([t]))
-        det, band = _pt_det(n, m)
-        if det < -band or (cp and det > band):
-            return det > 0.0
+        g = _pt_factor(n, m)
+        if abs(g) > _PT_FACTOR_BAND:
+            return g > 0.0
         return pt_margin(QubitChannelAffine(n, m)) >= 0.0
 
     times = np.linspace(0.0, t_max, _ONSET_GRID).tolist()

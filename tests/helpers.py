@@ -7,6 +7,8 @@ Pauli decomposition instead of the library's singlet-specific assembly.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from ebchannels import (
@@ -128,3 +130,14 @@ def random_unitary_sample(rng: np.random.Generator):
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
     return unitary_channel(axis, rng.uniform(0.0, 2.0 * np.pi))
+
+
+def exact_pt_factor(n: np.ndarray, m: np.ndarray) -> Fraction:
+    """The factor g of `markov._pt_factor` for one `_params` row, in exact arithmetic.
+
+    g = (1 - e1)^2 - 4 (c^2 + s^2) - n3^2 over the row's floats, which
+    are dyadic rationals: its sign is the sign of the exact smallest
+    eigenvalue of the row's partially transposed Choi matrix.
+    """
+    c, s, e1, n3 = map(Fraction, (m[0, 0], m[0, 1], m[2, 2], n[2]))
+    return (1 - e1) ** 2 - 4 * (c * c + s * s) - n3 * n3

@@ -36,9 +36,15 @@ from ebchannels.linalg import (
     _lapack_lowest,
     hermitian_eigenvalues,
     partial_transpose,
+    svd3,
 )
 from ebchannels.tolerances import EB_BOUNDARY_TOL
-from helpers import random_cptp_channel, random_eb_channel
+from helpers import (
+    random_cptp_channel,
+    random_eb_channel,
+    random_unital_cp_lambdas,
+    random_unitary_sample,
+)
 
 
 def test_interleave_empty_is_base():
@@ -104,6 +110,24 @@ def test_local_search_on_depolarizing_bases_meets_the_unital_ceiling(p, layers):
     ceiling = (sigma**layers + sigma**layers + sign**layers * sigma**layers - 1.0) / 4.0
     report = local_amendment_search(depolarizing_channel(p), n_layers=layers, trials=20, seed=5)
     assert abs(report.best_margin - ceiling) <= 1e-12
+
+
+def test_local_search_never_exceeds_the_unital_ceiling():
+    # any unital CP base, rotated on both sides: no interleaving beats the
+    # ceiling (sigma1^L + sigma2^L + sgn(det M)^L sigma3^L - 1) / 4 of its
+    # singular values sigma and the sign of det M
+    rng = np.random.default_rng(23)
+    for k in range(240):
+        lam = random_unital_cp_lambdas(rng, 1)[0]
+        base = compose(
+            random_unitary_sample(rng), compose(diagonal_channel(lam), random_unitary_sample(rng))
+        )
+        layers = 2 + k % 3
+        _, sigma, _, sign = svd3(base.M)
+        powers = sigma**layers * [1.0, 1.0, sign**layers]
+        ceiling = (powers.sum() - 1.0) / 4.0
+        report = local_amendment_search(base, n_layers=layers, trials=200, seed=k)
+        assert report.best_margin <= ceiling + 1e-12
 
 
 def test_local_search_identity_base_flags_not_eb():
@@ -242,7 +266,7 @@ def test_local_search_keeps_the_draw_order():
         unitaries = _replayed_unitaries(rng, 2)
     assert report.best_unitaries == unitaries
     composite = interleave(_FULL_RANK_EB, report.best_unitaries)
-    assert abs(report.best_pt_min_eig - pt_margin(composite)) <= 1e-14
+    assert report.best_pt_min_eig.hex() == pt_margin(composite).hex()
 
 
 def _reference_draws(rng, count):
@@ -349,7 +373,7 @@ def test_local_search_matches_trial_by_trial_loop(trials):
     violations = _trial_by_trial_violations()[:trials]
     best_trial = int(np.argmax(violations))  # the first strict maximum
     assert report.best_trial == best_trial
-    assert abs(report.best_margin - violations[best_trial]) <= 1e-14
+    assert report.best_margin.hex() == violations[best_trial].hex()
     assert report.base_is_eb and not report.amended
 
 

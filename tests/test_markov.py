@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from ebchannels import (
     validate_cptp,
 )
 from ebchannels import ebtest, markov
+from ebchannels.channel import QubitChannelAffine
 from ebchannels.errors import InvalidParameter, NegativeTime, NotCP
 from ebchannels.linalg import _elementwise, hermitian_eigenvalues
 from ebchannels.tolerances import CLOSED_FORM_TOL, KNIFE_EDGE_BAND
+from helpers import exact_pt_factor
 
 FAMILIES = [
     Decoherence(T=1.0, omega=5.0),
@@ -454,13 +457,14 @@ def test_eb_onset_matches_scalar_walk(family, t_max):
 
 
 def _count_probes(monkeypatch):
-    # the decider of each probe: every probe asks the determinant first,
+    # the decider of each probe: every probe reads the family factor first,
     # and the probes it leaves go on to Jacobi
     probes = []
+    pt_factor = markov._pt_factor
 
-    def counting_pt_det(n, M):
-        probes.append("determinant")
-        return ebtest._pt_det(n, M)
+    def counting_pt_factor(n, m):
+        probes.append("factor")
+        return pt_factor(n, m)
 
     def counting_pt_margin(phi):
         probes[-1] = "jacobi"
@@ -470,14 +474,14 @@ def _count_probes(monkeypatch):
         assert np.ndim(matrix) == 2, "stacked eigensolve under eb_onset"
         return hermitian_eigenvalues(matrix)
 
-    monkeypatch.setattr(markov, "_pt_det", counting_pt_det)
+    monkeypatch.setattr(markov, "_pt_factor", counting_pt_factor)
     monkeypatch.setattr(markov, "pt_margin", counting_pt_margin)
     monkeypatch.setattr(ebtest, "hermitian_eigenvalues", scalar_only)
     return probes
 
 
 def test_eb_onset_probes_once_without_crossing(monkeypatch):
-    # the margin at t_max, -e^{-50}/2, is far inside the determinant's band
+    # the factor at t_max, -4 e^{-100}, is far inside its band
     probes = _count_probes(monkeypatch)
     assert eb_onset(Decoherence(T=1.0, omega=5.0), 50.0) is None
     assert probes == ["jacobi"]
@@ -488,6 +492,119 @@ def test_eb_onset_bisects_the_crossing(monkeypatch):
     assert eb_onset(Depolarization(T=1.0), 10.0) is not None
     assert len(probes) <= 40
     assert probes.count("jacobi") == 0
+
+
+def test_eb_onset_bisects_a_non_cp_crossing_without_jacobi(monkeypatch):
+    # T2 = 5 T1 takes the family out of CP at some times; the factor's sign
+    # is its verdict all the same
+    family = Homogenization(0.5, 2.5, 0.3, 1.0)
+    probes = _count_probes(monkeypatch)
+    onset = eb_onset(family, 10.0)
+    assert onset is not None and probes.count("jacobi") == 0
+    monkeypatch.undo()
+    assert onset == _jacobi_onset(family, 10.0)
+
+
+def _row(family, t):
+    (n,), (m,) = markov._params(family, np.array([t]))
+    return n, m
+
+
+# the rounding bound of `_pt_factor`: gamma_4 = 4u / (1 - 4u), u = 2^-53,
+# relative to S, and 2^-1072 for the squares that underflow
+_GAMMA_4 = Fraction(4, 2**53) / (1 - Fraction(4, 2**53))
+_UNDERFLOW = Fraction(1, 2**1072)
+
+# T2 / T1 in [0.05, 8], on both sides of the CP bound T2 <= 2 T1
+_factor_families = st.one_of(
+    st.builds(
+        lambda T1, ratio, w, omega: Homogenization(T1, ratio * T1, w, omega),
+        st.floats(min_value=0.1, max_value=5.0),
+        st.floats(min_value=0.05, max_value=8.0),
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+        st.floats(min_value=-20.0, max_value=20.0),
+    ),
+    st.builds(
+        Decoherence,
+        T=st.floats(min_value=0.1, max_value=5.0),
+        omega=st.floats(min_value=-20.0, max_value=20.0),
+    ),
+)
+
+
+@settings(max_examples=500)
+# t up to 800 T2 and 6400 T1: past the underflow of both exponentials
+@given(_factor_families, st.one_of(st.floats(0.0, 8.0), st.floats(0.0, 800.0)))
+def test_pt_factor_rounds_within_its_bound_and_decides_outside_its_band(family, x):
+    n, m = _row(family, x * markov._rates(family)[1])
+    g = markov._pt_factor(n, m)
+    c, s, e1, n3 = map(Fraction, (m[0, 0], m[0, 1], m[2, 2], n[2]))
+    size = (1 - e1) ** 2 + 4 * (c * c + s * s) + n3 * n3
+    assert abs(Fraction(g) - exact_pt_factor(n, m)) <= _GAMMA_4 * size + _UNDERFLOW
+    if abs(g) > markov._PT_FACTOR_BAND:
+        assert np.sign(g) == np.sign(pt_margin(QubitChannelAffine(n, m)))
+
+
+@settings(max_examples=200)
+@given(
+    st.builds(
+        lambda T1, ratio, w, omega: Homogenization(T1, ratio * T1, w, omega),
+        st.floats(min_value=0.1, max_value=5.0),
+        st.floats(min_value=0.05, max_value=8.0),
+        # w = 1 never crosses: g = -4 e2^2 in exact arithmetic
+        st.floats(min_value=0.0, max_value=0.99),
+        st.floats(min_value=-20.0, max_value=20.0),
+    )
+)
+def test_pt_factor_band_covers_the_crossing(family):
+    # g = (1 - w^2)(1 - e1)^2 - 4 e2^2 rises from -4 at t = 0 to 1 - w^2:
+    # bisect t onto its computed zero, to adjacent floats, and probe around
+    # it.  There the sign of g and of the Jacobi margin disagree often
+    # enough that with a band of 0 this test fails
+    def factor(t):
+        return markov._pt_factor(*_row(family, t))
+
+    lo, hi = 0.0, family.T1
+    while factor(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if factor(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    offsets = [sign * 10.0**k for k in range(-14, -8) for sign in (-1.0, 1.0)]
+    nearby = [math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)]
+    for t in [lo, hi, *nearby, *(lo * (1.0 + d) for d in offsets)]:
+        n, m = _row(family, t)
+        g = markov._pt_factor(n, m)
+        if abs(g) > markov._PT_FACTOR_BAND:
+            assert (g > 0.0) == (pt_margin(QubitChannelAffine(n, m)) >= 0.0)
+
+
+def _exact_sign_families(rng, count):
+    # decoherence, depolarization and CP homogenization with w < 1, each
+    # with the time constant its scan stretches to 740 T
+    for _ in range(count):
+        T = float(rng.uniform(0.1, 5.0))
+        omega = float(rng.uniform(-20.0, 20.0))
+        T2 = T * float(rng.uniform(0.05, 2.0))
+        yield Decoherence(T, omega), T
+        yield Depolarization(T), T
+        yield Homogenization(T, T2, float(rng.uniform(0.0, 0.999)), omega), max(T, T2)
+
+
+def test_scan_margins_have_the_exact_sign():
+    # the Jacobi margin of every row against the exact sign of its family
+    # factor: 27000 rows, 8640 of them decoherence margins below 1e-13,
+    # down to e^{-740} / 2.  w = 1 is left out: its exact margins are
+    # negative but below double resolution at long times, and 1549 of 9000
+    # such rows come out as 0.0, which reads as EB (ROADMAP item 4)
+    for family, T in _exact_sign_families(np.random.default_rng(31), 30):
+        columns = scan(family, 0.0, 740.0 * T, 300).columns
+        n, m = markov._params(family, columns["t"])
+        for row_n, row_m, margin in zip(n, m, columns["margin"].tolist()):
+            g = exact_pt_factor(row_n, row_m)
+            assert np.sign(margin) == (g > 0) - (g < 0)
 
 
 def _jacobi_onset(family, t_max):
@@ -541,8 +658,7 @@ _families = st.one_of(
 )
 
 
-# T2 > 2 T1 takes the family out of CP, where a positive determinant
-# decides nothing
+# T2 > 2 T1 takes the family out of CP at some times
 _non_cp_homogenizations = st.builds(
     lambda T1, ratio, w, omega: Homogenization(T1, ratio * T1, w, omega),
     st.floats(min_value=0.1, max_value=5.0),
