@@ -144,6 +144,7 @@ def _write(text: str, path: str) -> int:
 
 
 def _emit(payload: dict, path: str | None) -> int:
+    # every JSON report: indented, on stdout when no path is given
     text = json.dumps(payload, indent=2)
     if path is None:
         print(text)
@@ -167,7 +168,7 @@ def cmd_analyze(args) -> int:
             "cptp": {"is_cp": False, "min_choi_eig": exc.min_eig},
             "error": "channel is not completely positive",
         }
-        print(json.dumps(payload, indent=2))
+        _emit(payload, None)
         return EXIT_NOT_CP
 
     verdict, canon = result.verdict, result.canonical
@@ -191,8 +192,7 @@ def cmd_analyze(args) -> int:
         "seb_class": result.seb_class.value,
         "closed_form": closed_form,
     }
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return _emit(payload, None)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +210,9 @@ def cmd_markov(args) -> int:
     family = _build_family(args)
     result = markov.scan(family, args.t_min, args.t_max, args.steps)
     if args.format == "csv":
-        text = markov.scan_to_csv(result)
+        code = _write(markov.scan_to_csv(result), args.output)
     else:
-        text = json.dumps(markov.scan_to_dict(result), indent=2) + "\n"
-    code = _write(text, args.output)
+        code = _emit(markov.scan_to_dict(result), args.output)
     if code != EXIT_OK:
         return code
     onset = markov.eb_onset(family, args.t_max)
@@ -267,7 +266,7 @@ def cmd_amend_global(args) -> int:
         "attempts": attempts,
         "reproduced_ordering": report.reproduced,
     }
-    print(json.dumps(payload, indent=2))
+    _emit(payload, None)
     if report.reproduced is None:
         print(
             "error: no basis ordering reproduced the bundled reference output",

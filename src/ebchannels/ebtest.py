@@ -106,9 +106,14 @@ def _numeric_verdicts(
     # (n, M) or of a stack (leading axes), all read off one Choi matrix;
     # NotCP for the first non-CP one
     choi_matrix = _choi(n, M)
-    choi_min = _choi_min(choi_matrix)
+    return (_choi_min(choi_matrix), *_ppt_verdicts(choi_matrix))
+
+
+def _ppt_verdicts(choi_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # smallest PT-Choi eigenvalue and EB verdict of one Choi matrix or of
+    # each of a stack (leading axes)
     margin = hermitian_eigenvalues(partial_transpose(choi_matrix, 2, 2))[..., 0]
-    return choi_min, margin, margin >= -EB_BOUNDARY_TOL
+    return margin, margin >= -EB_BOUNDARY_TOL
 
 
 def unital_spectra(lam) -> tuple[np.ndarray, np.ndarray]:

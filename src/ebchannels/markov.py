@@ -15,8 +15,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import QubitChannelAffine
-from .ebtest import _numeric_verdicts, pt_margin, uniaxial_eb_condition
+from .channel import QubitChannelAffine, _choi, _choi_min
+from .ebtest import _ppt_verdicts, pt_margin, uniaxial_eb_condition
 from .errors import InvalidParameter, NegativeTime
 from .linalg import _elementwise, _squares
 
@@ -136,27 +136,32 @@ def channel_at(family: DynamicalFamily, t: float) -> QubitChannelAffine:
     return QubitChannelAffine(n[0], m[0])
 
 
-def _pt_factor(n: np.ndarray, m: np.ndarray) -> float:
-    """The factor g of a `_params` row that has the sign of its PT margin.
+def _family_factor(d, c, s, n3):
+    """d^2 - 4 (c^2 + s^2) - n3^2, on Python floats or numpy columns alike.
 
-    A row has n = (0, 0, n3) and M = [[c, s, 0], [-s, c, 0], [0, 0, e1]],
-    so its partially transposed Choi matrix is an X-state, with
-    eigenvalues (1 - e1 -+ b) / 4 and (1 + e1 -+ |n3|) / 4, where
-    b^2 = 4 (c^2 + s^2) + n3^2.  As b >= |n3| and 0 <= e1 <= 1, the
-    smallest is (1 - e1 - b) / 4 = g / (4 (1 - e1 + b)), with
+    A `_params` row has n = (0, 0, n3) and M = [[c, s, 0], [-s, c, 0],
+    [0, 0, e1]], so its Choi matrix and that matrix's partial transpose
+    are X-states.  Exactly for the float row, CP or not, and with
+    b^2 = 4 (c^2 + s^2) + n3^2, so b >= |n3|:
 
-        g = (1 - e1)^2 - 4 (c^2 + s^2) - n3^2,
+    - the partial transpose has eigenvalues (1 - e1 -+ b) / 4 and
+      (1 + e1 -+ |n3|) / 4.  As 0 <= e1 <= 1 the smallest is
+      (1 - e1 - b) / 4 = g / (4 (1 - e1 + b)), with g the factor at
+      d = 1 - e1;
+    - the Choi matrix has eigenvalues (1 + e1 -+ b) / 4 and
+      (1 - e1 -+ |n3|) / 4.  The second pair is at worst an ulp below
+      0, as |n3| = fl(w fl(1 - e1)) <= fl(1 - e1), so only
+      (1 + e1 - b) / 4 = h / (4 (1 + e1 + b)) can be negative, with h
+      the factor at d = 1 + e1.
 
-    exactly for the float row, CP or not.
+    Numpy rounds each operation on a column as Python rounds it on a
+    float, so a scan's column of factors holds the bits of the probes'.
     """
-    (c, s, _), _, (_, _, e1) = m.tolist()
-    n3 = n.tolist()[2]
-    d = 1.0 - e1
     return d * d - (4.0 * (c * c + s * s) + n3 * n3)
 
 
-# Outside this band the sign of `_pt_factor` is the sign of `pt_margin` of
-# the same row.  It is the sum of two bounds.
+# Outside this band the sign of g is the sign of `pt_margin` of the same
+# row.  It is the sum of two bounds.
 #
 # Rounding of g.  Each value computed with + - * carries the terms of its
 # formal expansion, each times at most k factors (1 + delta), |delta| <=
@@ -185,6 +190,13 @@ def _pt_factor(n: np.ndarray, m: np.ndarray) -> float:
 # < 13.  So when |computed g| exceeds 13 c_J eps sqrt(5 / 4) + 2.01 eps S,
 # about 3966 eps, the exact g has its sign and the exact margin exceeds
 # Jacobi's error, and Jacobi returns that sign.  2^-40 is 4096 eps.
+#
+# The same band clears the CP gate.  h rounds as g does, with S <= 9.  A
+# row whose computed h is >= -2^-40 has an exact h above -2^-40 - 20 eps,
+# so its exact smallest Choi eigenvalue is above -2^-42 - 5 eps (as
+# 4 (1 + e1 + b) >= 4, and the other pair is at worst an ulp below 0),
+# and Jacobi's, within c_J eps sqrt(5 / 4) of it, above -3e-13: far above
+# -CP_TOL = -1e-10, so `_choi_min` can never raise for that row.
 _PT_FACTOR_BAND = 2.0**-40
 
 # the grid whose first EB point brackets the onset; it fixes where the
@@ -204,7 +216,7 @@ def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
     whose margin approaches zero from below without ever reaching it
     must not report a spurious finite onset.
 
-    Each probe reads the family factor g of its channel (`_pt_factor`).
+    Each probe reads the family factor g of its channel (`_family_factor`).
     Outside `_PT_FACTOR_BAND` its sign decides; inside it, the Jacobi
     margin decides as `pt_margin(channel_at(family, t)) >= 0`.  Outside
     the band the two agree, so the bisection sees the same answers either
@@ -217,7 +229,8 @@ def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
 
     def is_eb(t: float) -> bool:
         (n,), (m,) = _params(family, np.array([t]))
-        g = _pt_factor(n, m)
+        (c, s, _), _, (_, _, e1) = m.tolist()
+        g = _family_factor(1.0 - e1, c, s, n.tolist()[2])
         if abs(g) > _PT_FACTOR_BAND:
             return g > 0.0
         return pt_margin(QubitChannelAffine(n, m)) >= 0.0
@@ -334,7 +347,13 @@ def scan(
     except (MemoryError, ValueError) as exc:  # beyond numpy's memory or index range
         raise InvalidParameter(f"steps = {steps} is too large: {exc}") from exc
     n, m = _params(family, times)
-    _, margins, is_eb = _numeric_verdicts(n, m)
+    choi_matrix = _choi(n, m)
+    # the CP gate sweeps only the rows whose Choi factor h cannot clear
+    # (see `_PT_FACTOR_BAND`), in index order, so the first of them below
+    # -CP_TOL is the grid's first non-CP row
+    h = _family_factor(1.0 + m[:, 2, 2], m[:, 0, 0], m[:, 0, 1], n[:, 2])
+    _choi_min(choi_matrix[h < -_PT_FACTOR_BAND])
+    margins, is_eb = _ppt_verdicts(choi_matrix)
     # the singular values of `canonical_form`, taken from the same LAPACK
     # call as svd3 makes: without vectors it rounds differently
     lam = np.linalg.svd(m)[1]

@@ -133,7 +133,7 @@ def random_unitary_sample(rng: np.random.Generator):
 
 
 def exact_pt_factor(n: np.ndarray, m: np.ndarray) -> Fraction:
-    """The factor g of `markov._pt_factor` for one `_params` row, in exact arithmetic.
+    """The factor g of `markov._family_factor` for one `_params` row, in exact arithmetic.
 
     g = (1 - e1)^2 - 4 (c^2 + s^2) - n3^2 over the row's floats, which
     are dyadic rationals: its sign is the sign of the exact smallest

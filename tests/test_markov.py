@@ -22,8 +22,8 @@ from ebchannels import (
     scan_to_csv,
     validate_cptp,
 )
-from ebchannels import ebtest, markov
-from ebchannels.channel import QubitChannelAffine
+from ebchannels import channel, ebtest, markov
+from ebchannels.channel import QubitChannelAffine, choi
 from ebchannels.errors import InvalidParameter, NegativeTime, NotCP
 from ebchannels.linalg import _elementwise, hermitian_eigenvalues
 from ebchannels.tolerances import CLOSED_FORM_TOL, KNIFE_EDGE_BAND
@@ -460,11 +460,13 @@ def _count_probes(monkeypatch):
     # the decider of each probe: every probe reads the family factor first,
     # and the probes it leaves go on to Jacobi
     probes = []
-    pt_factor = markov._pt_factor
+    family_factor = markov._family_factor
 
-    def counting_pt_factor(n, m):
+    def counting_family_factor(*args):
+        # a probe in Python floats costs a fifth of one in numpy scalars
+        assert all(type(x) is float for x in args), "probe off Python floats"
         probes.append("factor")
-        return pt_factor(n, m)
+        return family_factor(*args)
 
     def counting_pt_margin(phi):
         probes[-1] = "jacobi"
@@ -474,7 +476,7 @@ def _count_probes(monkeypatch):
         assert np.ndim(matrix) == 2, "stacked eigensolve under eb_onset"
         return hermitian_eigenvalues(matrix)
 
-    monkeypatch.setattr(markov, "_pt_factor", counting_pt_factor)
+    monkeypatch.setattr(markov, "_family_factor", counting_family_factor)
     monkeypatch.setattr(markov, "pt_margin", counting_pt_margin)
     monkeypatch.setattr(ebtest, "hermitian_eigenvalues", scalar_only)
     return probes
@@ -510,7 +512,15 @@ def _row(family, t):
     return n, m
 
 
-# the rounding bound of `_pt_factor`: gamma_4 = 4u / (1 - 4u), u = 2^-53,
+def _row_factors(n, m):
+    # g and h of one `_params` row, in Python floats as `eb_onset`'s probe
+    # evaluates g
+    (c, s, _), _, (_, _, e1) = m.tolist()
+    n3 = n.tolist()[2]
+    return markov._family_factor(1.0 - e1, c, s, n3), markov._family_factor(1.0 + e1, c, s, n3)
+
+
+# the rounding bound of `_family_factor`: gamma_4 = 4u / (1 - 4u), u = 2^-53,
 # relative to S, and 2^-1072 for the squares that underflow
 _GAMMA_4 = Fraction(4, 2**53) / (1 - Fraction(4, 2**53))
 _UNDERFLOW = Fraction(1, 2**1072)
@@ -537,10 +547,13 @@ _factor_families = st.one_of(
 @given(_factor_families, st.one_of(st.floats(0.0, 8.0), st.floats(0.0, 800.0)))
 def test_pt_factor_rounds_within_its_bound_and_decides_outside_its_band(family, x):
     n, m = _row(family, x * markov._rates(family)[1])
-    g = markov._pt_factor(n, m)
+    g, h = _row_factors(n, m)
     c, s, e1, n3 = map(Fraction, (m[0, 0], m[0, 1], m[2, 2], n[2]))
     size = (1 - e1) ** 2 + 4 * (c * c + s * s) + n3 * n3
     assert abs(Fraction(g) - exact_pt_factor(n, m)) <= _GAMMA_4 * size + _UNDERFLOW
+    # the Choi factor h = g + 4 e1 rounds the same way, d = 1 + e1 for 1 - e1
+    size = (1 + e1) ** 2 + 4 * (c * c + s * s) + n3 * n3
+    assert abs(Fraction(h) - exact_pt_factor(n, m) - 4 * e1) <= _GAMMA_4 * size + _UNDERFLOW
     if abs(g) > markov._PT_FACTOR_BAND:
         assert np.sign(g) == np.sign(pt_margin(QubitChannelAffine(n, m)))
 
@@ -562,7 +575,7 @@ def test_pt_factor_band_covers_the_crossing(family):
     # it.  There the sign of g and of the Jacobi margin disagree often
     # enough that with a band of 0 this test fails
     def factor(t):
-        return markov._pt_factor(*_row(family, t))
+        return _row_factors(*_row(family, t))[0]
 
     lo, hi = 0.0, family.T1
     while factor(hi) <= 0.0:
@@ -576,9 +589,31 @@ def test_pt_factor_band_covers_the_crossing(family):
     nearby = [math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)]
     for t in [lo, hi, *nearby, *(lo * (1.0 + d) for d in offsets)]:
         n, m = _row(family, t)
-        g = markov._pt_factor(n, m)
+        g = _row_factors(n, m)[0]
         if abs(g) > markov._PT_FACTOR_BAND:
             assert (g > 0.0) == (pt_margin(QubitChannelAffine(n, m)) >= 0.0)
+
+
+@settings(max_examples=500)
+@given(_factor_families, st.one_of(st.floats(0.0, 8.0), st.floats(0.0, 800.0)))
+def test_choi_factor_clears_only_rows_the_cp_gate_passes(family, x):
+    # a row `scan` keeps from the CP gate has a Jacobi Choi minimum far
+    # above -CP_TOL = -1e-10
+    n, m = _row(family, x * markov._rates(family)[1])
+    if _row_factors(n, m)[1] >= -markov._PT_FACTOR_BAND:
+        assert hermitian_eigenvalues(choi(QubitChannelAffine(n, m)))[0] >= -1e-12
+
+
+def test_family_factor_columns_equal_the_probe_values():
+    # numpy rounds the columns as Python rounds the probe's floats, so the
+    # scan's h and a column of g hold the bits of the per-row values
+    for family, times in _random_grids(np.random.default_rng(73), 200):
+        n, m = markov._params(family, times)
+        c, s, e1, n3 = m[:, 0, 0], m[:, 0, 1], m[:, 2, 2], n[:, 2]
+        columns = [markov._family_factor(d, c, s, n3) for d in (1.0 - e1, 1.0 + e1)]
+        rows = np.array([_row_factors(row_n, row_m) for row_n, row_m in zip(n, m)])
+        assert columns[0].tobytes() == rows[:, 0].tobytes()
+        assert columns[1].tobytes() == rows[:, 1].tobytes()
 
 
 def _exact_sign_families(rng, count):
@@ -740,6 +775,75 @@ def test_scan_rows_match_per_row_analysis(family):
         assert is_eb == verdict.is_eb
         lam = np.abs(canonical_form(phi).lam)
         assert np.abs(row_lam - lam).max() <= 1e-15
+
+
+def _counting_eigensolves(monkeypatch, module):
+    # the matrices each call of `module.hermitian_eigenvalues` is handed
+    counts = []
+
+    def counting(matrix):
+        counts.append(len(matrix) if np.ndim(matrix) == 3 else 1)
+        return hermitian_eigenvalues(matrix)
+
+    monkeypatch.setattr(module, "hermitian_eigenvalues", counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "family, t_max",
+    [
+        *((family, 6.0) for family in FAMILIES),
+        # T2 = 2 T1 at w = 1: h is 0 in exact arithmetic at every time
+        (Homogenization(T1=1.0, T2=2.0, w=1.0, omega=0.7), 6.0),
+        (Homogenization(T1=1.0, T2=2.0, w=1.0), 800.0),
+        (Homogenization(T1=0.7, T2=0.5, w=0.0), 60.0),
+    ],
+)
+def test_cp_scan_eigensolves_only_the_pt_stack(monkeypatch, family, t_max):
+    gate = _counting_eigensolves(monkeypatch, channel)
+    verdicts = _counting_eigensolves(monkeypatch, ebtest)
+    scan(family, 0.0, t_max, 301)
+    assert sum(gate) == 0
+    assert verdicts == [301]
+
+
+# T2 just past 2 T1: not CP at every time for w = 1, CP at most times below
+_edge_homogenizations = st.builds(
+    lambda T1, w, omega: Homogenization(T1, 2.0 * T1 * (1.0 + 1e-7), w, omega),
+    st.floats(min_value=0.1, max_value=5.0),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    st.floats(min_value=-20.0, max_value=20.0),
+)
+
+
+def _whole_grid_gate(family, times):
+    # the CP gate `scan` ran before the Choi factor: every row eigensolved;
+    # the NotCP it raises, or None
+    try:
+        channel._choi_min(channel._choi(*markov._params(family, times)))
+    except NotCP as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(_families, _non_cp_homogenizations, _edge_homogenizations),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=0.01, max_value=60.0),
+    st.integers(min_value=2, max_value=310),
+)
+@example(Homogenization(0.1, 0.5, 0.5), 0.0, 1.0, 301)
+@example(Homogenization(T1=0.3, T2=1.0, w=0.5), 0.0, 5e-10, 450)
+def test_scan_raises_not_cp_as_the_whole_grid_gate(family, t_min, width, steps):
+    expected = _whole_grid_gate(family, np.linspace(t_min, t_min + width, steps))
+    if expected is None:
+        scan(family, t_min, t_min + width, steps)
+        return
+    with pytest.raises(NotCP) as excinfo:
+        scan(family, t_min, t_min + width, steps)
+    assert str(excinfo.value) == str(expected)
+    assert excinfo.value.min_eig == expected.min_eig
 
 
 def test_scan_not_cp_carries_first_bad_row():
