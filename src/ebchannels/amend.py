@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .linalg import (
     hermitian_eigenvalues,
     partial_transpose,
 )
-from .tolerances import EB_BOUNDARY_TOL, OUTPUT_PSD_TOL
+from .tolerances import AMEND_TIE_TOL, EB_BOUNDARY_TOL, OUTPUT_PSD_TOL
 
 __all__ = [
     "UnitarySample",
@@ -110,13 +111,15 @@ def _sample_unitaries(
 class AmendmentReport:
     """Outcome of a randomized local-amendment search.
 
-    best_margin is the largest partial-transpose violation found across
-    all trials (negativity direction: positive values certify an
-    entangled composite); best_pt_min_eig is the same trial's raw minimum
-    eigenvalue.  `amended` is claimed only when the base channel was EB
-    to begin with and some composite strictly violates positivity; a
-    false result after `trials` samples is absence of evidence, not a
-    certificate, for full-rank channels.
+    best_margin is the partial-transpose violation of trial best_trial
+    (negativity direction: positive values certify an entangled
+    composite), the lowest-index trial whose violation is within
+    AMEND_TIE_TOL of the largest one found, so it is at most
+    AMEND_TIE_TOL (1e-12) below that largest violation; best_pt_min_eig
+    is the same trial's raw minimum eigenvalue.  `amended` is claimed
+    only when the base channel was EB to begin with and some composite
+    strictly violates positivity; a false result after `trials` samples
+    is absence of evidence, not a certificate, for full-rank channels.
     """
 
     base_channel: QubitChannelAffine
@@ -147,6 +150,63 @@ def _interleaved_pt_chois(
     return partial_transpose(_choi(n, m), 2, 2)
 
 
+class _Pool(NamedTuple):
+    # the trials that can still be best, in trial order: index, rotations,
+    # PT-Choi matrix, an upper bound on the violation (the Jacobi
+    # violation once swept) and whether it is swept
+    trial: np.ndarray
+    axes: np.ndarray
+    angles: np.ndarray
+    chois: np.ndarray
+    bound: np.ndarray
+    swept: np.ndarray
+
+    def take(self, which: np.ndarray) -> _Pool:
+        return _Pool(*(column[which] for column in self))
+
+    def sweep(self, which: np.ndarray) -> float:
+        # Jacobi violations written over the bounds of rows `which`; the
+        # largest is a lower bound on the best violation
+        self.bound[which] = -hermitian_eigenvalues(self.chois[which])[:, 0]
+        self.swept[which] = True
+        return float(self.bound[which].max())
+
+
+def _cut(pool: _Pool, floor: float) -> tuple[_Pool, float]:
+    # the pool without the trials whose bound fell below floor - tol.  If
+    # more than a block is left, it is swept and keeps only the trials
+    # above every earlier one: no other can be the first within tol
+    pool = pool.take(pool.bound >= floor - AMEND_TIE_TOL)
+    if len(pool.trial) <= STACK_BLOCK:
+        return pool, floor
+    unswept = np.flatnonzero(~pool.swept)
+    if len(unswept):
+        floor = max(floor, pool.sweep(unswept))
+    earlier = np.maximum.accumulate(np.concatenate(([-np.inf], pool.bound[:-1])))
+    return pool.take((pool.bound >= floor - AMEND_TIE_TOL) & (pool.bound > earlier)), floor
+
+
+def _best_row(pool: _Pool, floor: float) -> int:
+    # the pool row of the lowest trial whose Jacobi violation v is within
+    # AMEND_TIE_TOL of the largest, V.  In trial order: a row whose bound
+    # is below floor - tol is below V - tol; a swept row with v at or above
+    # (largest bound) - tol is at or above V - tol.  Otherwise the rows
+    # whose bound could put V more than tol above v are swept, after which
+    # either v passes or `floor`, which every sweep raises, drops it
+    bound, swept = pool.bound, pool.swept
+    while True:
+        row = int(np.flatnonzero(bound >= floor - AMEND_TIE_TOL)[0])
+        if not swept[row]:
+            floor = max(floor, pool.sweep([row]))
+            continue
+        v = bound[row]
+        if v >= bound.max() - AMEND_TIE_TOL:
+            return row
+        rows = np.flatnonzero(~swept & (bound - AMEND_TIE_TOL > v))
+        if len(rows):
+            floor = max(floor, pool.sweep(rows))
+
+
 def local_amendment_search(
     base: QubitChannelAffine, n_layers: int, trials: int, seed: int
 ) -> AmendmentReport:
@@ -156,15 +216,21 @@ def local_amendment_search(
     interleaving and evaluates its partial-transpose margin.  Trials are
     drawn and evaluated in seed-ordered blocks, which changes neither the
     draws nor the result.  Fully deterministic for a given seed; the best
-    trial is the one with the largest violation, ties broken by lowest
-    trial index.
+    trial is the lowest-index trial whose violation is within
+    AMEND_TIE_TOL (1e-12) of the largest violation, so the reported one
+    is at most AMEND_TIE_TOL below the largest.  Trials that tie to
+    rounding, as every interleaving of a depolarizing base does, go to
+    the first of them.
 
     Every reported number comes from `hermitian_eigenvalues`.  LAPACK
-    only screens: a trial whose LAPACK violation plus its error band
-    falls below a certified lower bound on the best violation cannot
-    win, so it is never handed to the Jacobi sweep.  Each block of
-    STACK_BLOCK trials is drawn, screened and swept before the next, so
-    the memory is one block whatever `trials` is.
+    only screens: its smallest eigenvalue and error band bound each
+    trial's violation from both sides, and Jacobi sweeps only the trials
+    whose bounds cannot decide the rule, in trial order; a tie costs one
+    sweep.  Each block of STACK_BLOCK trials is drawn and screened before
+    the next, and only the trials that could still be best are carried;
+    more than a block of them is swept and cut to those that stay within
+    AMEND_TIE_TOL in strictly rising order, so the memory is about two
+    blocks whatever `trials` is.
     """
     if n_layers < 2:
         raise InvalidParameter(f"n_layers must be at least 2, got {n_layers}")
@@ -176,13 +242,14 @@ def local_amendment_search(
 
     rng = np.random.default_rng(seed)
     layers = n_layers - 1
-    # `floor` never exceeds the best Jacobi violation of the whole search:
-    # it is the larger of the best one so far and the largest LAPACK
-    # violation minus its band
-    floor = best_violation = -np.inf
-    best_trial = -1
-    best_axes = best_angles = ()
+    # `floor` never exceeds the largest Jacobi violation of the whole
+    # search: it is the largest LAPACK lower bound or Jacobi violation so
+    # far.  A trial whose upper bound is below floor - tol is never best
+    floor = -np.inf
+    pool = None
     for start in range(0, trials, STACK_BLOCK):
+        if pool is not None:
+            pool, floor = _cut(pool, floor)
         block = min(STACK_BLOCK, trials - start)
         try:
             axes, angles = _sample_unitaries(rng, block * layers)
@@ -191,21 +258,23 @@ def local_amendment_search(
         rotations = _rotations(axes, angles).reshape(block, layers, 3, 3)
         chois = _interleaved_pt_chois(base, rotations)
         lowest, delta = _lapack_lowest(chois)
+        upper = delta - lowest
         floor = max(floor, float(np.max(-lowest - delta)))
-        keep = np.flatnonzero(delta - lowest >= floor)
-        if not len(keep):
-            continue
-        violations = -hermitian_eigenvalues(chois[keep])[:, 0]
-        i = int(np.argmax(violations))  # the first of equal maxima
-        if violations[i] > best_violation:
-            best_violation = violations[i]
-            best_trial = start + int(keep[i])
-            best_axes = axes.reshape(block, layers, 3)[keep[i]]
-            best_angles = angles.reshape(block, layers)[keep[i]]
-            floor = max(floor, float(best_violation))
+        keep = np.flatnonzero(upper >= floor - AMEND_TIE_TOL)
+        kept = _Pool(
+            start + keep,
+            axes.reshape(block, layers, 3)[keep],
+            angles.reshape(block, layers)[keep],
+            chois[keep],
+            upper[keep],
+            np.zeros(len(keep), dtype=bool),
+        )
+        pool = kept if pool is None else _Pool(*map(np.concatenate, zip(pool, kept)))
+    row = _best_row(pool, floor)
+    best_violation = float(pool.bound[row])
     best_unitaries = tuple(
         UnitarySample(axis=tuple(axis), angle=float(angle))
-        for axis, angle in zip(best_axes, best_angles)
+        for axis, angle in zip(pool.axes[row], pool.angles[row])
     )
     return AmendmentReport(
         base_channel=base,
@@ -215,9 +284,9 @@ def local_amendment_search(
         prng=PRNG_ID,
         base_is_eb=base_verdict.is_eb,
         base_margin=base_verdict.margin,
-        best_margin=float(best_violation),
-        best_pt_min_eig=float(-best_violation),
-        best_trial=best_trial,
+        best_margin=best_violation,
+        best_pt_min_eig=-best_violation,
+        best_trial=int(pool.trial[row]),
         best_unitaries=best_unitaries,
         amended=bool(base_verdict.is_eb and best_violation > EB_BOUNDARY_TOL),
     )

@@ -350,9 +350,11 @@ def scan(
     choi_matrix = _choi(n, m)
     # the CP gate sweeps only the rows whose Choi factor h cannot clear
     # (see `_PT_FACTOR_BAND`), in index order, so the first of them below
-    # -CP_TOL is the grid's first non-CP row
+    # -CP_TOL is the grid's first non-CP row; a CP family has none
     h = _family_factor(1.0 + m[:, 2, 2], m[:, 0, 0], m[:, 0, 1], n[:, 2])
-    _choi_min(choi_matrix[h < -_PT_FACTOR_BAND])
+    uncleared = h < -_PT_FACTOR_BAND
+    if uncleared.any():
+        _choi_min(choi_matrix[uncleared])
     margins, is_eb = _ppt_verdicts(choi_matrix)
     # the singular values of `canonical_form`, taken from the same LAPACK
     # call as svd3 makes: without vectors it rounds differently

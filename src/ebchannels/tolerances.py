@@ -38,6 +38,16 @@ AXIS_ZERO_TOL = 1e-12
 # rotation axes must be unit vectors within this
 AXIS_NORM_TOL = 1e-10
 
+# the amendment search's best trial is the lowest index whose Jacobi
+# violation is within AMEND_TIE_TOL of the largest.  Far above the LAPACK
+# screen's band delta = 64 * 4 * eps * ||H||_F <= 5.7e-14: partial
+# transposition permutes entries, so ||J^Gamma||_F = ||J||_F <= tr J = 1
+# for a Choi state J.  Two trials that tie to rounding are then decided
+# from their LAPACK bounds alone, with one trial swept.  Far below
+# EB_BOUNDARY_TOL, so the reported violation stays within the slack of
+# the EB verdict of the largest one
+AMEND_TIE_TOL = 1e-12
+
 # abstract amendment maps may leave the state set; outputs with an
 # eigenvalue below -OUTPUT_PSD_TOL are reported as non-positive
 OUTPUT_PSD_TOL = 1e-8

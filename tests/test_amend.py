@@ -38,7 +38,7 @@ from ebchannels.linalg import (
     partial_transpose,
     svd3,
 )
-from ebchannels.tolerances import EB_BOUNDARY_TOL
+from ebchannels.tolerances import AMEND_TIE_TOL, EB_BOUNDARY_TOL
 from helpers import (
     random_cptp_channel,
     random_eb_channel,
@@ -338,10 +338,12 @@ def test_sampler_redraws_tiny_triples_in_the_reference_order():
 
 
 def test_search_memory_stays_within_a_block():
-    # the tracemalloc peak of a 3 x 1000 search on a tie base, which sweeps
-    # every trial, after a warm-up call (the first call also allocates
-    # ~0.8 MB of numpy's first-use state):
-    # ~0.6 MB with blocks of 200, ~1.5 MB with 512 and ~2.9 MB with 1000
+    # the tracemalloc peak of a 3 x 1000 search on a tie base, which
+    # carries every trial of its first block into the second and sweeps
+    # one, after a warm-up call (the first call also allocates ~0.8 MB of
+    # numpy's first-use state): ~1.1 MB with blocks of 512, against
+    # ~1.5 MB when every trial was swept.  A 3 x 3000 tie search, which
+    # sweeps its carried trials once they outgrow a block, peaks at ~2.8 MB
     base = depolarizing_channel(1.0 / 3.0)
     local_amendment_search(base, n_layers=3, trials=1000, seed=7)
     tracemalloc.start()
@@ -403,13 +405,20 @@ def _unfiltered_search(base, n_layers, trials, seed):
     return violations[:, 0], axes.reshape(trials, layers, 3), angles.reshape(trials, layers)
 
 
-def _assert_matches_unfiltered(base, n_layers, trial_counts, seed):
+def _tie_rule(violations):
+    # the lowest trial whose violation is within AMEND_TIE_TOL of the largest
+    return int(np.flatnonzero(violations >= violations.max() - AMEND_TIE_TOL)[0])
+
+
+def _assert_matches_unfiltered(base, n_layers, trial_counts, seed, no_ties=False):
     all_violations, all_axes, all_angles = _unfiltered_search(
         base, n_layers, max(trial_counts), seed
     )
     for trials in trial_counts:
         report = local_amendment_search(base, n_layers, trials, seed)
-        trial = int(np.argmax(all_violations[:trials]))  # the first strict maximum
+        trial = _tie_rule(all_violations[:trials])
+        if no_ties:
+            assert trial == int(np.argmax(all_violations[:trials]))
         violation = all_violations[trial]
         unitaries = tuple(
             UnitarySample(axis=tuple(axis), angle=float(angle))
@@ -435,7 +444,7 @@ _SCREEN_TRIALS = tuple(sorted(_EDGE_TRIALS + (401,)))
 @pytest.mark.parametrize("n_layers", [2, 3, 4])
 @pytest.mark.parametrize("name", sorted(_NAMED_BASES))
 def test_screened_search_equals_unfiltered_on_named_bases(name, n_layers, seed):
-    # depolarizing trials tie exactly, so only the tie rule picks their winner
+    # depolarizing trials tie to rounding, so the tie rule picks the first
     _assert_matches_unfiltered(_NAMED_BASES[name], n_layers, _SCREEN_TRIALS, seed)
 
 
@@ -443,7 +452,7 @@ def test_screened_search_equals_unfiltered_on_named_bases(name, n_layers, seed):
 def test_screened_search_equals_unfiltered_on_random_bases(case):
     base = random_cptp_channel(np.random.default_rng(900 + case))
     trials = _SCREEN_TRIALS[case % len(_SCREEN_TRIALS)]
-    _assert_matches_unfiltered(base, 2 + case % 3, (trials,), seed=case)
+    _assert_matches_unfiltered(base, 2 + case % 3, (trials,), seed=case, no_ties=True)
 
 
 def _replaying_stack(monkeypatch, stack):
@@ -458,35 +467,64 @@ def _replaying_stack(monkeypatch, stack):
     monkeypatch.setattr(amend, "_interleaved_pt_chois", chois)
 
 
+def _rotated_chois(rng, base, count):
+    # one channel between random rotations: PT-Choi matrices that share a
+    # spectrum up to rounding
+    axes = rng.standard_normal((2 * count, 3))
+    rotations = _rotations(
+        axes / np.linalg.norm(axes, axis=1)[:, None],
+        rng.uniform(0.0, 2.0 * np.pi, 2 * count),
+    ).reshape(2, count, 3, 3)
+    return partial_transpose(
+        _choi(rotations[0] @ base.n, rotations[0] @ base.M @ rotations[1]), 2, 2
+    )
+
+
 @settings(max_examples=30)
 @given(
     seed=st.integers(0, 2**32 - 1),
     count=st.integers(1, 2 * STACK_BLOCK + 1),
     spread=st.sampled_from([0.0, 1e-3, 1.0, 3.0]),
 )
-def test_screen_keeps_the_first_jacobi_argmax_of_near_ties(seed, count, spread):
-    # one channel between random rotations, whose PT-Choi matrices share a
-    # spectrum up to rounding, some shifted by up to `spread` times their
-    # band: the minima tie to a few ulps or lie within the band of each other
+def test_screen_keeps_the_tie_rule_across_the_threshold(seed, count, spread):
+    # trials that tie to rounding, each moved by up to `spread` bands and
+    # half of them lowered to about max - tol: those straddle the tie
+    # threshold, and only the Jacobi sweep can place them
     rng = np.random.default_rng(seed)
     base = random_cptp_channel(rng)
-    axes = rng.standard_normal((2 * count, 3))
-    rotations = _rotations(
-        axes / np.linalg.norm(axes, axis=1)[:, None],
-        rng.uniform(0.0, 2.0 * np.pi, 2 * count),
-    ).reshape(2, count, 3, 3)
-    chois = partial_transpose(
-        _choi(rotations[0] @ base.n, rotations[0] @ base.M @ rotations[1]), 2, 2
-    )
+    chois = _rotated_chois(rng, base, count)
     _, delta = _lapack_lowest(chois)
-    shift = np.where(rng.random(count) < 0.5, 0.0, rng.uniform(-spread, spread, count))
-    stack = chois + (shift * delta)[:, None, None] * np.eye(4)
+    shift = rng.uniform(-spread, spread, count) * delta
+    shift += np.where(rng.random(count) < 0.5, 0.0, AMEND_TIE_TOL)
+    stack = chois + shift[:, None, None] * np.eye(4)
     violations = -hermitian_eigenvalues(stack)[:, 0]
     with pytest.MonkeyPatch.context() as monkeypatch:
         _replaying_stack(monkeypatch, stack)
         report = local_amendment_search(base, n_layers=2, trials=count, seed=seed)
-    assert report.best_trial == int(np.argmax(violations))
-    assert report.best_margin == violations.max()
+    assert report.best_trial == _tie_rule(violations)
+    assert report.best_margin.hex() == violations[report.best_trial].hex()
+
+
+@pytest.mark.parametrize(
+    "rise, best_trial",
+    [(0.5, 0), (1.5, 7), (2.0, STACK_BLOCK + 3)],
+)
+def test_a_later_block_moves_the_best_within_the_first(monkeypatch, rise, best_trial):
+    # block 1 ties at V except trial 7 at V + 0.8 tol, so trial 0 leads it;
+    # trial 3 of block 2 at V + rise * tol puts the threshold above trial 0
+    # once rise > 1, and above trial 7 too once rise > 1.8
+    count = STACK_BLOCK + 40
+    chois = _rotated_chois(np.random.default_rng(3), _FULL_RANK_EB, count)
+    raise_by = np.zeros(count)
+    raise_by[[7, STACK_BLOCK + 3]] = [0.8 * AMEND_TIE_TOL, rise * AMEND_TIE_TOL]
+    stack = chois - raise_by[:, None, None] * np.eye(4)
+    violations = -hermitian_eigenvalues(stack)[:, 0]
+    rows = _jacobi_rows(monkeypatch)
+    _replaying_stack(monkeypatch, stack)
+    report = local_amendment_search(_FULL_RANK_EB, n_layers=2, trials=count, seed=0)
+    assert report.best_trial == _tie_rule(violations) == best_trial
+    assert report.best_margin.hex() == violations[best_trial].hex()
+    assert rows == [1]
 
 
 def _jacobi_rows(monkeypatch):
@@ -508,9 +546,28 @@ def test_readme_search_sweeps_few_trials(monkeypatch):
     assert 1 <= sum(rows) <= 5
 
 
-def test_tie_base_search_sweeps_every_trial(monkeypatch):
-    # every interleaving of a depolarizing base has the same spectrum, so no
-    # trial can be ruled out until the tie rule treats near-equal ones alike
+_TIE_BASES = {
+    "depolarizing-third": depolarizing_channel(1.0 / 3.0),
+    "depolarizing-0.3": depolarizing_channel(0.3),
+    "identity": identity_channel(),
+}
+
+
+@pytest.mark.parametrize("n_layers", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(_TIE_BASES))
+def test_tie_base_search_sweeps_one_trial(monkeypatch, name, n_layers):
+    # every interleaving of these bases has the same spectrum, so the
+    # LAPACK bounds alone put trial 0 within the tie tolerance of the best
     rows = _jacobi_rows(monkeypatch)
-    local_amendment_search(depolarizing_channel(1.0 / 3.0), n_layers=3, trials=1000, seed=7)
-    assert sum(rows) == 1000
+    report = local_amendment_search(_TIE_BASES[name], n_layers, trials=1000, seed=7)
+    assert rows == [1]
+    assert report.best_trial == 0
+
+
+@pytest.mark.parametrize("n_layers", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(_TIE_BASES))
+def test_tie_base_report_replays(name, n_layers):
+    base = _TIE_BASES[name]
+    report = local_amendment_search(base, n_layers, trials=1000, seed=7)
+    composite = interleave(base, report.best_unitaries)
+    assert pt_margin(composite).hex() == report.best_pt_min_eig.hex()
