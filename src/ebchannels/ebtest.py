@@ -106,14 +106,14 @@ def _numeric_verdicts(
     # (n, M) or of a stack (leading axes), all read off one Choi matrix;
     # NotCP for the first non-CP one
     choi_matrix = _choi(n, M)
-    return (_choi_min(choi_matrix), *_ppt_verdicts(choi_matrix))
-
-
-def _ppt_verdicts(choi_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # smallest PT-Choi eigenvalue and EB verdict of one Choi matrix or of
-    # each of a stack (leading axes)
+    choi_min = _choi_min(choi_matrix)
     margin = hermitian_eigenvalues(partial_transpose(choi_matrix, 2, 2))[..., 0]
-    return margin, margin >= -EB_BOUNDARY_TOL
+    return choi_min, margin, _is_eb(margin)
+
+
+def _is_eb(margin):
+    # the EB rule on one PT margin or on an array of them
+    return margin >= -EB_BOUNDARY_TOL
 
 
 def unital_spectra(lam) -> tuple[np.ndarray, np.ndarray]:

@@ -16,9 +16,9 @@ from itertools import repeat
 import numpy as np
 
 from .channel import QubitChannelAffine, _choi, _choi_min
-from .ebtest import _ppt_verdicts, pt_margin, uniaxial_eb_condition
+from .ebtest import _is_eb, pt_margin, uniaxial_eb_condition
 from .errors import InvalidParameter, NegativeTime
-from .linalg import _elementwise, _squares
+from .linalg import _elementwise, _squares, hermitian_eigenvalues, partial_transpose
 
 __all__ = [
     "Decoherence",
@@ -92,33 +92,40 @@ FAMILIES = {
 
 
 def _rates(family: DynamicalFamily) -> tuple[float, float, float, float]:
-    """(T1, T2, w, omega) of the family as the homogenization it is."""
+    """(T1, T2, w, omega) of the family as the homogenization it is, in floats."""
     if isinstance(family, Homogenization):
-        return family.T1, family.T2, family.w, family.omega
+        return float(family.T1), float(family.T2), float(family.w), float(family.omega)
     if isinstance(family, Decoherence):
-        return math.inf, family.T, 0.0, family.omega
+        return math.inf, float(family.T), 0.0, float(family.omega)
     if isinstance(family, Depolarization):
-        return family.T, family.T, 0.0, 0.0
+        return float(family.T), float(family.T), 0.0, 0.0
     raise TypeError(f"unknown dynamical family {family!r}")
+
+
+def _row(rates: tuple[float, ...], t: float) -> tuple[float, float, float, float]:
+    """(c, s, e1, n3) of the family with these `_rates` at time t.
+
+    Its channel is n = (0, 0, n3), M = [[c, s, 0], [-s, c, 0], [0, 0, e1]],
+    in Python floats: numpy's exp, cos and sin can differ from math's in
+    the last bit, which would change published digits.
+    """
+    T1, T2, w, omega = rates
+    angle = omega * t
+    if not math.isfinite(angle):
+        raise InvalidParameter(f"rotation angle omega * t = {angle} is not finite")
+    e1, e2 = math.exp(-t / T1), math.exp(-t / T2)
+    return e2 * math.cos(angle), e2 * math.sin(angle), e1, w * (1.0 - e1)
 
 
 def _params(
     family: DynamicalFamily, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Translations (k, 3) and contractions (k, 3, 3) at the k `times`.
-
-    In Python floats: numpy's exp, cos and sin can differ from math's in
-    the last bit, which would change published digits.
-    """
-    T1, T2, w, omega = map(float, _rates(family))
+    """Translations (k, 3) and contractions (k, 3, 3) at the k `times`."""
+    rates = _rates(family)
     ns, ms = [], []
     for t in times.tolist():
-        angle = omega * t
-        if not math.isfinite(angle):
-            raise InvalidParameter(f"rotation angle omega * t = {angle} is not finite")
-        e1, e2 = math.exp(-t / T1), math.exp(-t / T2)
-        c, s = e2 * math.cos(angle), e2 * math.sin(angle)
-        ns += (0.0, 0.0, w * (1.0 - e1))
+        c, s, e1, n3 = _row(rates, t)
+        ns += (0.0, 0.0, n3)
         ms += (c, s, 0.0, -s, c, 0.0, 0.0, 0.0, e1)
     return (
         np.fromiter(ns, float, len(ns)).reshape(-1, 3),
@@ -136,27 +143,21 @@ def channel_at(family: DynamicalFamily, t: float) -> QubitChannelAffine:
     return QubitChannelAffine(n[0], m[0])
 
 
-def _family_factor(d, c, s, n3):
-    """d^2 - 4 (c^2 + s^2) - n3^2, on Python floats or numpy columns alike.
+def _family_factor(c, s, e1, n3):
+    """g = (1 - e1)^2 - 4 (c^2 + s^2) - n3^2 of a `_row`, on floats or numpy columns.
 
-    A `_params` row has n = (0, 0, n3) and M = [[c, s, 0], [-s, c, 0],
-    [0, 0, e1]], so its Choi matrix and that matrix's partial transpose
-    are X-states.  Exactly for the float row, CP or not, and with
-    b^2 = 4 (c^2 + s^2) + n3^2, so b >= |n3|:
-
-    - the partial transpose has eigenvalues (1 - e1 -+ b) / 4 and
-      (1 + e1 -+ |n3|) / 4.  As 0 <= e1 <= 1 the smallest is
-      (1 - e1 - b) / 4 = g / (4 (1 - e1 + b)), with g the factor at
-      d = 1 - e1;
-    - the Choi matrix has eigenvalues (1 + e1 -+ b) / 4 and
-      (1 - e1 -+ |n3|) / 4.  The second pair is at worst an ulp below
-      0, as |n3| = fl(w fl(1 - e1)) <= fl(1 - e1), so only
-      (1 + e1 - b) / 4 = h / (4 (1 + e1 + b)) can be negative, with h
-      the factor at d = 1 + e1.
+    The row's Choi matrix couples only indices 1 and 2, and its partial
+    transpose only 0 and 3: both are X-states.  Exactly for the float
+    row, CP or not, and with b^2 = 4 (c^2 + s^2) + n3^2, so b >= |n3|,
+    the partial transpose has eigenvalues (1 - e1 -+ b) / 4 and
+    (1 + e1 -+ |n3|) / 4.  As 0 <= e1 <= 1 the smallest is
+    (1 - e1 - b) / 4 = g / (4 (1 - e1 + b)), so g has the sign of the
+    exact margin.
 
     Numpy rounds each operation on a column as Python rounds it on a
-    float, so a scan's column of factors holds the bits of the probes'.
+    float, so a column of factors holds the bits of the probes'.
     """
+    d = 1.0 - e1
     return d * d - (4.0 * (c * c + s * s) + n3 * n3)
 
 
@@ -190,13 +191,6 @@ def _family_factor(d, c, s, n3):
 # < 13.  So when |computed g| exceeds 13 c_J eps sqrt(5 / 4) + 2.01 eps S,
 # about 3966 eps, the exact g has its sign and the exact margin exceeds
 # Jacobi's error, and Jacobi returns that sign.  2^-40 is 4096 eps.
-#
-# The same band clears the CP gate.  h rounds as g does, with S <= 9.  A
-# row whose computed h is >= -2^-40 has an exact h above -2^-40 - 20 eps,
-# so its exact smallest Choi eigenvalue is above -2^-42 - 5 eps (as
-# 4 (1 + e1 + b) >= 4, and the other pair is at worst an ulp below 0),
-# and Jacobi's, within c_J eps sqrt(5 / 4) of it, above -3e-13: far above
-# -CP_TOL = -1e-10, so `_choi_min` can never raise for that row.
 _PT_FACTOR_BAND = 2.0**-40
 
 # the grid whose first EB point brackets the onset; it fixes where the
@@ -227,13 +221,13 @@ def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
     if not math.isfinite(t_max):
         raise InvalidParameter(f"t_max must be finite, got {t_max}")
 
+    rates = _rates(family)
+
     def is_eb(t: float) -> bool:
-        (n,), (m,) = _params(family, np.array([t]))
-        (c, s, _), _, (_, _, e1) = m.tolist()
-        g = _family_factor(1.0 - e1, c, s, n.tolist()[2])
+        g = _family_factor(*_row(rates, t))
         if abs(g) > _PT_FACTOR_BAND:
             return g > 0.0
-        return pt_margin(QubitChannelAffine(n, m)) >= 0.0
+        return pt_margin(channel_at(family, t)) >= 0.0
 
     times = np.linspace(0.0, t_max, _ONSET_GRID).tolist()
     if not is_eb(times[-1]):
@@ -331,8 +325,10 @@ def scan(
 ) -> TimeScan:
     """Sample the family on a uniform grid of `steps` times.
 
-    Homogenization scans additionally carry the f1/f2/f diagnostics and
-    the closed-form verdict column cf_eb.
+    Each row's CP gate and margin are read off 2x2 blocks of its Choi
+    matrix, with the bits of a 4x4 eigensolve.  Homogenization scans
+    additionally carry the f1/f2/f diagnostics and the closed-form verdict
+    column cf_eb.
     """
     if steps < 2:
         raise InvalidParameter(f"steps must be at least 2, got {steps}")
@@ -348,14 +344,16 @@ def scan(
         raise InvalidParameter(f"steps = {steps} is too large: {exc}") from exc
     n, m = _params(family, times)
     choi_matrix = _choi(n, m)
-    # the CP gate sweeps only the rows whose Choi factor h cannot clear
-    # (see `_PT_FACTOR_BAND`), in index order, so the first of them below
-    # -CP_TOL is the grid's first non-CP row; a CP family has none
-    h = _family_factor(1.0 + m[:, 2, 2], m[:, 0, 0], m[:, 0, 1], n[:, 2])
-    uncleared = h < -_PT_FACTOR_BAND
-    if uncleared.any():
-        _choi_min(choi_matrix[uncleared])
-    margins, is_eb = _ppt_verdicts(choi_matrix)
+    # the rows are X-states (`_family_factor`).  The Choi diagonal at 0 and
+    # 3, (1 - e1 -+ n3) / 4, is at worst an ulp below 0, as |n3| =
+    # fl(w fl(1 - e1)) <= fl(1 - e1), so the block at 1 and 2 is the CP
+    # gate.  Jacobi rotates a PT row only at pivot (0, 3), as it rotates
+    # that block, and leaves the diagonal at 1 and 2: their minimum has the
+    # 4x4 sweep's bits
+    _choi_min(choi_matrix[:, 1:3, 1:3])
+    pt = partial_transpose(choi_matrix, 2, 2)
+    low = hermitian_eigenvalues(pt[:, ::3, ::3])[:, 0]
+    margins = np.minimum(low, np.minimum(pt[:, 1, 1].real, pt[:, 2, 2].real))
     # the singular values of `canonical_form`, taken from the same LAPACK
     # call as svd3 makes: without vectors it rounds differently
     lam = np.linalg.svd(m)[1]
@@ -365,7 +363,7 @@ def scan(
         "lam2": lam[:, 1],
         "lam3": lam[:, 2],
         "margin": margins,
-        "is_eb": is_eb,
+        "is_eb": _is_eb(margins),
     }
     if isinstance(family, Homogenization):
         columns.update(_homogenization(times, family.T1, family.T2, family.w))

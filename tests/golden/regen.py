@@ -19,16 +19,16 @@ The `edge` group holds seed-independent ops below the pools' sizes:
 short `markov` scans of grids whose margins underflow to exact zeros, and
 short `amend local` searches on a strong-EB, a tie and an identity base.
 
-`--seed N --out PATH` writes the hashes of another seed's pools elsewhere,
-to compare two checkouts beyond the checked-in seed.  `--seed` may repeat;
-with several seeds each key starts with its seed, so one command per
-checkout compares seeds 101-105, and `--against` names the ops whose
-hashes differ from a file written in the other checkout:
+`--seed N --out PATH` writes the hashes of another seed's pools elsewhere.
+`--seed` may repeat; with several seeds each key starts with its seed.
+`--against REV` compares this checkout with a git revision beyond the
+checked-in seed: it extracts `git archive REV` into a temporary
+directory, runs that revision's own `regen.py` there on the same seeds
+with its `src/` on PYTHONPATH, and names the ops whose hashes differ.
+Against the parent commit, over seeds 101-105:
 
     PYTHONPATH=src python tests/golden/regen.py --seed 101 --seed 102 \
-        --seed 103 --seed 104 --seed 105 --out /tmp/seeds.json
-    PYTHONPATH=src python tests/golden/regen.py --seed 101 --seed 102 \
-        --seed 103 --seed 104 --seed 105 --against /tmp/seeds.json
+        --seed 103 --seed 104 --seed 105 --against HEAD~1
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import io
 import json
 import os
 import shlex
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -147,12 +148,29 @@ def differing(hashes: dict[str, str], record: dict) -> list[str]:
     return sorted(k for k in hashes.keys() | other.keys() if hashes.get(k) != other.get(k))
 
 
+def revision_record(rev: str, seeds: list[int], tmp: Path) -> dict:
+    """The record `regen.py --seed ... --out` writes in a `git archive` of `rev`."""
+    tree, out = tmp / "tree", tmp / "record.json"
+    tree.mkdir()
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    script = tree / "tests" / "golden" / "regen.py"
+    argv = [sys.executable, str(script), "--out", str(out), *(f"--seed={s}" for s in seeds)]
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    subprocess.run(argv, check=True, cwd=tree, env=env, stdout=subprocess.DEVNULL)
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, action="append")
     parser.add_argument("--out", type=Path)
     parser.add_argument(
-        "--against", type=Path, help="print the keys whose hashes differ from this file"
+        "--against",
+        metavar="REV",
+        help="print the keys whose hashes differ at this git revision",
     )
     args = parser.parse_args()
     seeds = args.seed or [SEED]
@@ -175,7 +193,8 @@ def main() -> int:
         print(f"{len(hashes)} ops -> {args.out}")
     if args.against is None:
         return 0
-    changed = differing(hashes, json.loads(args.against.read_text(encoding="utf-8")))
+    with tempfile.TemporaryDirectory() as tmp:
+        changed = differing(hashes, revision_record(args.against, seeds, Path(tmp)))
     for key in changed:
         print(key)
     print(f"{len(changed)} of {len(hashes)} ops differ from {args.against}")

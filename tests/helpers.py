@@ -135,9 +135,11 @@ def random_unitary_sample(rng: np.random.Generator):
 def exact_pt_factor(n: np.ndarray, m: np.ndarray) -> Fraction:
     """The factor g of `markov._family_factor` for one `_params` row, in exact arithmetic.
 
-    g = (1 - e1)^2 - 4 (c^2 + s^2) - n3^2 over the row's floats, which
-    are dyadic rationals: its sign is the sign of the exact smallest
-    eigenvalue of the row's partially transposed Choi matrix.
+    g = (1 - e1)^2 - 4 (c^2 + s^2) - n3^2 over the row's floats (c, s,
+    e1, n3) of `markov._row`, which are dyadic rationals.  The row's
+    partially transposed Choi matrix is an X-state, and g has the sign
+    of its exact smallest eigenvalue: the margin that `scan` reads off
+    2x2 blocks and that `eb_onset` probes.
     """
     c, s, e1, n3 = map(Fraction, (m[0, 0], m[0, 1], m[2, 2], n[2]))
     return (1 - e1) ** 2 - 4 * (c * c + s * s) - n3 * n3

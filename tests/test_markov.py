@@ -23,9 +23,9 @@ from ebchannels import (
     validate_cptp,
 )
 from ebchannels import channel, ebtest, markov
-from ebchannels.channel import QubitChannelAffine, choi
+from ebchannels.channel import QubitChannelAffine
 from ebchannels.errors import InvalidParameter, NegativeTime, NotCP
-from ebchannels.linalg import _elementwise, hermitian_eigenvalues
+from ebchannels.linalg import _elementwise, hermitian_eigenvalues, partial_transpose
 from ebchannels.tolerances import CLOSED_FORM_TOL, KNIFE_EDGE_BAND
 from helpers import exact_pt_factor
 
@@ -462,11 +462,11 @@ def _count_probes(monkeypatch):
     probes = []
     family_factor = markov._family_factor
 
-    def counting_family_factor(*args):
+    def counting_family_factor(c, s, e1, n3):
         # a probe in Python floats costs a fifth of one in numpy scalars
-        assert all(type(x) is float for x in args), "probe off Python floats"
+        assert all(type(x) is float for x in (c, s, e1, n3)), "probe off Python floats"
         probes.append("factor")
-        return family_factor(*args)
+        return family_factor(c, s, e1, n3)
 
     def counting_pt_margin(phi):
         probes[-1] = "jacobi"
@@ -512,12 +512,11 @@ def _row(family, t):
     return n, m
 
 
-def _row_factors(n, m):
-    # g and h of one `_params` row, in Python floats as `eb_onset`'s probe
-    # evaluates g
+def _row_factor(n, m):
+    # g of one `_params` row, in Python floats as `eb_onset`'s probe
+    # evaluates it
     (c, s, _), _, (_, _, e1) = m.tolist()
-    n3 = n.tolist()[2]
-    return markov._family_factor(1.0 - e1, c, s, n3), markov._family_factor(1.0 + e1, c, s, n3)
+    return markov._family_factor(c, s, e1, n.tolist()[2])
 
 
 # the rounding bound of `_family_factor`: gamma_4 = 4u / (1 - 4u), u = 2^-53,
@@ -547,13 +546,10 @@ _factor_families = st.one_of(
 @given(_factor_families, st.one_of(st.floats(0.0, 8.0), st.floats(0.0, 800.0)))
 def test_pt_factor_rounds_within_its_bound_and_decides_outside_its_band(family, x):
     n, m = _row(family, x * markov._rates(family)[1])
-    g, h = _row_factors(n, m)
+    g = _row_factor(n, m)
     c, s, e1, n3 = map(Fraction, (m[0, 0], m[0, 1], m[2, 2], n[2]))
     size = (1 - e1) ** 2 + 4 * (c * c + s * s) + n3 * n3
     assert abs(Fraction(g) - exact_pt_factor(n, m)) <= _GAMMA_4 * size + _UNDERFLOW
-    # the Choi factor h = g + 4 e1 rounds the same way, d = 1 + e1 for 1 - e1
-    size = (1 + e1) ** 2 + 4 * (c * c + s * s) + n3 * n3
-    assert abs(Fraction(h) - exact_pt_factor(n, m) - 4 * e1) <= _GAMMA_4 * size + _UNDERFLOW
     if abs(g) > markov._PT_FACTOR_BAND:
         assert np.sign(g) == np.sign(pt_margin(QubitChannelAffine(n, m)))
 
@@ -575,7 +571,7 @@ def test_pt_factor_band_covers_the_crossing(family):
     # it.  There the sign of g and of the Jacobi margin disagree often
     # enough that with a band of 0 this test fails
     def factor(t):
-        return _row_factors(*_row(family, t))[0]
+        return _row_factor(*_row(family, t))
 
     lo, hi = 0.0, family.T1
     while factor(hi) <= 0.0:
@@ -589,31 +585,19 @@ def test_pt_factor_band_covers_the_crossing(family):
     nearby = [math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)]
     for t in [lo, hi, *nearby, *(lo * (1.0 + d) for d in offsets)]:
         n, m = _row(family, t)
-        g = _row_factors(n, m)[0]
+        g = _row_factor(n, m)
         if abs(g) > markov._PT_FACTOR_BAND:
             assert (g > 0.0) == (pt_margin(QubitChannelAffine(n, m)) >= 0.0)
 
 
-@settings(max_examples=500)
-@given(_factor_families, st.one_of(st.floats(0.0, 8.0), st.floats(0.0, 800.0)))
-def test_choi_factor_clears_only_rows_the_cp_gate_passes(family, x):
-    # a row `scan` keeps from the CP gate has a Jacobi Choi minimum far
-    # above -CP_TOL = -1e-10
-    n, m = _row(family, x * markov._rates(family)[1])
-    if _row_factors(n, m)[1] >= -markov._PT_FACTOR_BAND:
-        assert hermitian_eigenvalues(choi(QubitChannelAffine(n, m)))[0] >= -1e-12
-
-
 def test_family_factor_columns_equal_the_probe_values():
-    # numpy rounds the columns as Python rounds the probe's floats, so the
-    # scan's h and a column of g hold the bits of the per-row values
+    # numpy rounds the columns as Python rounds the probe's floats, so a
+    # column of g holds the bits of the per-row values
     for family, times in _random_grids(np.random.default_rng(73), 200):
         n, m = markov._params(family, times)
-        c, s, e1, n3 = m[:, 0, 0], m[:, 0, 1], m[:, 2, 2], n[:, 2]
-        columns = [markov._family_factor(d, c, s, n3) for d in (1.0 - e1, 1.0 + e1)]
-        rows = np.array([_row_factors(row_n, row_m) for row_n, row_m in zip(n, m)])
-        assert columns[0].tobytes() == rows[:, 0].tobytes()
-        assert columns[1].tobytes() == rows[:, 1].tobytes()
+        column = markov._family_factor(m[:, 0, 0], m[:, 0, 1], m[:, 2, 2], n[:, 2])
+        rows = np.array([_row_factor(row_n, row_m) for row_n, row_m in zip(n, m)])
+        assert column.tobytes() == rows.tobytes()
 
 
 def _exact_sign_families(rng, count):
@@ -633,7 +617,7 @@ def test_scan_margins_have_the_exact_sign():
     # factor: 27000 rows, 8640 of them decoherence margins below 1e-13,
     # down to e^{-740} / 2.  w = 1 is left out: its exact margins are
     # negative but below double resolution at long times, and 1549 of 9000
-    # such rows come out as 0.0, which reads as EB (ROADMAP item 4)
+    # such rows come out as 0.0, which reads as EB (ROADMAP item 2)
     for family, T in _exact_sign_families(np.random.default_rng(31), 30):
         columns = scan(family, 0.0, 740.0 * T, 300).columns
         n, m = markov._params(family, columns["t"])
@@ -778,33 +762,39 @@ def test_scan_rows_match_per_row_analysis(family):
 
 
 def _counting_eigensolves(monkeypatch, module):
-    # the matrices each call of `module.hermitian_eigenvalues` is handed
-    counts = []
+    # the shape of the stack each call of `module.hermitian_eigenvalues` is
+    # handed
+    shapes = []
 
     def counting(matrix):
-        counts.append(len(matrix) if np.ndim(matrix) == 3 else 1)
+        shapes.append(np.shape(matrix))
         return hermitian_eigenvalues(matrix)
 
     monkeypatch.setattr(module, "hermitian_eigenvalues", counting)
-    return counts
+    return shapes
 
 
 @pytest.mark.parametrize(
     "family, t_max",
     [
         *((family, 6.0) for family in FAMILIES),
-        # T2 = 2 T1 at w = 1: h is 0 in exact arithmetic at every time
+        # T2 = 2 T1 at w = 1: the smallest Choi eigenvalue is 0 in exact
+        # arithmetic at every time
         (Homogenization(T1=1.0, T2=2.0, w=1.0, omega=0.7), 6.0),
         (Homogenization(T1=1.0, T2=2.0, w=1.0), 800.0),
         (Homogenization(T1=0.7, T2=0.5, w=0.0), 60.0),
     ],
 )
 def test_cp_scan_eigensolves_only_the_pt_stack(monkeypatch, family, t_max):
+    # the CP gate and the margins each sweep one stack of 2x2 blocks, and
+    # no 4x4 matrix is eigensolved
     gate = _counting_eigensolves(monkeypatch, channel)
+    margins = _counting_eigensolves(monkeypatch, markov)
     verdicts = _counting_eigensolves(monkeypatch, ebtest)
     scan(family, 0.0, t_max, 301)
-    assert gate == []
-    assert verdicts == [301]
+    assert gate == [(301, 2, 2)]
+    assert margins == [(301, 2, 2)]
+    assert verdicts == []
 
 
 # T2 just past 2 T1: not CP at every time for w = 1, CP at most times below
@@ -817,8 +807,8 @@ _edge_homogenizations = st.builds(
 
 
 def _whole_grid_gate(family, times):
-    # the CP gate `scan` ran before the Choi factor: every row eigensolved;
-    # the NotCP it raises, or None
+    # the CP gate on every row's whole 4x4 Choi matrix: the NotCP it
+    # raises, or None
     try:
         channel._choi_min(channel._choi(*markov._params(family, times)))
     except NotCP as exc:
@@ -844,6 +834,46 @@ def test_scan_raises_not_cp_as_the_whole_grid_gate(family, t_min, width, steps):
         scan(family, t_min, t_min + width, steps)
     assert str(excinfo.value) == str(expected)
     assert excinfo.value.min_eig == expected.min_eig
+
+
+def _block_grids(rng, count):
+    # `_random_grids`' scans with T2 up to 8 T1, past the CP bound T2 <= 2 T1
+    for _ in range(count):
+        T1 = rng.uniform(0.05, 5.0) * rng.choice([1e-300, 1e-3, 1.0, 1.0, 1.0])
+        T2 = T1 * rng.uniform(0.05, 8.0)
+        t_max = rng.uniform(0.1, 60.0) * rng.choice([1.0, 1.0, 1.0, 1e3, 1e300])
+        w = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        omega = float(rng.choice([0.0, rng.uniform(-20.0, 20.0)]))
+        steps = int(rng.choice([2, 16, 200, 301]))
+        for family in (
+            Decoherence(T=T1, omega=omega),
+            Depolarization(T=T1),
+            Homogenization(T1=T1, T2=T2, w=w, omega=omega),
+        ):
+            yield family, t_max, steps
+
+
+def test_scan_blocks_keep_the_bits_of_the_4x4_sweeps():
+    # the margins are the smallest eigenvalues of the rows' 4x4 PT-Choi
+    # matrices bit for bit, and the 2x2 CP gate raises the 4x4 gate's NotCP.
+    # The Choi minima themselves may differ in the sign of zero: the 4x4
+    # sweep can return 0.0 where the block returns -0.0
+    grids = _block_grids(np.random.default_rng(74), 300)
+    # CP on this grid, but at rows near t = 5.4 the low eigenvalue of the
+    # PT block is an ulp above the PT diagonal, which is the margin
+    edge = Homogenization(0.11910744920400929, 0.2604894439420786, 0.04531821184396578)
+    for family, t_max, steps in [(edge, 18.131128390980745, 200), *grids]:
+        times = np.linspace(0.0, t_max, steps)
+        expected = _whole_grid_gate(family, times)
+        if expected is not None:
+            with pytest.raises(NotCP) as excinfo:
+                scan(family, 0.0, t_max, steps)
+            assert str(excinfo.value) == str(expected)
+            assert excinfo.value.min_eig == expected.min_eig
+            continue
+        pt = partial_transpose(channel._choi(*markov._params(family, times)), 2, 2)
+        margins = scan(family, 0.0, t_max, steps).columns["margin"]
+        assert margins.tobytes() == hermitian_eigenvalues(pt)[:, 0].tobytes()
 
 
 def test_scan_not_cp_carries_first_bad_row():
