@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
 
 from .channel import QubitChannelAffine, _choi, _choi_min
-from .ebtest import _is_eb, pt_margin, uniaxial_eb_condition
+from .ebtest import _is_eb, uniaxial_eb_condition
 from .errors import InvalidParameter, NegativeTime
 from .linalg import _elementwise, _squares, hermitian_eigenvalues, partial_transpose
 
@@ -92,7 +93,14 @@ FAMILIES = {
 
 
 def _rates(family: DynamicalFamily) -> tuple[float, float, float, float]:
-    """(T1, T2, w, omega) of the family as the homogenization it is, in floats."""
+    """(T1, T2, w, omega) of the family as the homogenization it is, in floats.
+
+    With T1 = inf (decoherence) or w = 1 the family is EB at no time: the
+    factor of `_family_factor` is -4 e2^2 < 0 and tends to 0.  A float
+    row's exact g is then rounding noise, as fl(1 - e1) != 1 - e1, and 0
+    where e2 underflows.  Every other family's g tends to 1 - w^2 > 0
+    (finite T1 and T2) or stays <= -3 (T2 = inf): its rows decide it.
+    """
     if isinstance(family, Homogenization):
         return float(family.T1), float(family.T2), float(family.w), float(family.omega)
     if isinstance(family, Decoherence):
@@ -155,42 +163,24 @@ def _family_factor(c, s, e1, n3):
     exact margin.
 
     Numpy rounds each operation on a column as Python rounds it on a
-    float, so a column of factors holds the bits of the probes'.
+    float, so a column of factors holds the bits of the probes'.  The
+    constants are ints, so on `Fraction`s of a float row g is exact.
     """
-    d = 1.0 - e1
-    return d * d - (4.0 * (c * c + s * s) + n3 * n3)
+    d = 1 - e1
+    return d * d - (4 * (c * c + s * s) + n3 * n3)
 
 
-# Outside this band the sign of g is the sign of `pt_margin` of the same
-# row.  It is the sum of two bounds.
-#
-# Rounding of g.  Each value computed with + - * carries the terms of its
-# formal expansion, each times at most k factors (1 + delta), |delta| <=
-# u = eps / 2, k the roundings along its path (a sum adds one to the
-# larger count, a product adds one to the sum of both; the scaling by 4
-# is exact).  d = 1 - e1 is one rounded factor, so d * d has k = 3, the
-# bracket k = 3 and g k = 4: |error| <= gamma_4 S, just over 2 eps S,
-# with S = (1 - e1)^2 + 4 (c^2 + s^2) + n3^2 <= 6 (c^2 + s^2 <= e2^2 and
-# |n3| <= 1, up to a few eps), plus at most 2^-1072 where squares
-# underflow.
-#
-# Jacobi's error.  `pt_margin` sweeps the assembled matrix H'.  Each real
-# or imaginary part of an entry of H' sums the identity and at most 6
-# parameters times 0, +-1 or +-i (products exact, at most 5 roundings), so
-# ||H' - H||_2 <= gamma_5 ||A||_F with A the same sums in absolute values,
-# and ||A||_F <= (1 + |n|_1 + |M|_1) / 2 <= sqrt(13) ||H||_F: under
-# 10 eps ||H||_F.  Jacobi returns the eigenvalues of H' + E with ||E||_2
-# <= 64 n eps ||H'||_2 (64 = `linalg._EIG_BACKWARD_C`, which
-# `linalg._lapack_lowest` takes for Jacobi and LAPACK together).  By
-# Weyl's inequality its smallest eigenvalue is within c_J eps ||H||_F of
-# the exact one, with c_J = 64 n + 16 = 272 for n = 4.  Here ||H||_F^2 =
-# (1 + |n|^2 + tr M^T M) / 4 <= 5 / 4 (the Pauli products are orthogonal
-# with squared norm 4).
-#
-# The margin is g / (4 (1 - e1 + b)), and 4 (1 - e1 + b) <= 4 (1 + sqrt 5)
-# < 13.  So when |computed g| exceeds 13 c_J eps sqrt(5 / 4) + 2.01 eps S,
-# about 3966 eps, the exact g has its sign and the exact margin exceeds
-# Jacobi's error, and Jacobi returns that sign.  2^-40 is 4096 eps.
+# Outside this band the computed g has the sign of the row's exact g.
+# Each value computed with + - * carries the terms of its formal
+# expansion, each times at most k factors (1 + delta), |delta| <= u =
+# eps / 2, k the roundings along its path (a sum adds one to the larger
+# count, a product adds one to the sum of both; the scaling by 4 is
+# exact).  d = 1 - e1 is one rounded factor, so d * d has k = 3, the
+# bracket k = 3 and g k = 4: |error| <= gamma_4 S, with S = (1 - e1)^2 +
+# 4 (c^2 + s^2) + n3^2 <= 6 (c^2 + s^2 <= e2^2 and |n3| <= 1, up to a few
+# eps), so under 12.1 eps, plus at most 2^-1072 where squares underflow.
+# Any band above that decides alike; 2^-40 only keeps the exact `Fraction`
+# probes, ~30x dearer, to the rows near a crossing.
 _PT_FACTOR_BAND = 2.0**-40
 
 # the grid whose first EB point brackets the onset; it fixes where the
@@ -208,13 +198,13 @@ def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
     Returns None when the channel is not EB at t_max.  The crossing test
     is strict (margin >= 0 rather than the verdict tolerance): families
     whose margin approaches zero from below without ever reaching it
-    must not report a spurious finite onset.
+    must not report a spurious finite onset, and the families that are
+    EB at no time (`_rates`) return None without a probe.
 
-    Each probe reads the family factor g of its channel (`_family_factor`).
-    Outside `_PT_FACTOR_BAND` its sign decides; inside it, the Jacobi
-    margin decides as `pt_margin(channel_at(family, t)) >= 0`.  Outside
-    the band the two agree, so the bisection sees the same answers either
-    way and the onset digits are Jacobi's.
+    Each probe decides the exact PPT test of its float row: margin >= 0,
+    that is g >= 0 for the family factor g (`_family_factor`).  Outside
+    `_PT_FACTOR_BAND` the sign of g in floats is exact; inside it, g is
+    computed again in `Fraction`s.
     """
     if not t_max > 0.0:
         raise InvalidParameter(f"t_max must be positive, got {t_max}")
@@ -222,12 +212,16 @@ def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
         raise InvalidParameter(f"t_max must be finite, got {t_max}")
 
     rates = _rates(family)
+    T1, _, w, _ = rates
+    if T1 == math.inf or w == 1.0:
+        return None
 
     def is_eb(t: float) -> bool:
-        g = _family_factor(*_row(rates, t))
+        row = _row(rates, t)
+        g = _family_factor(*row)
         if abs(g) > _PT_FACTOR_BAND:
             return g > 0.0
-        return pt_margin(channel_at(family, t)) >= 0.0
+        return _family_factor(*map(Fraction, row)) >= 0
 
     times = np.linspace(0.0, t_max, _ONSET_GRID).tolist()
     if not is_eb(times[-1]):

@@ -160,6 +160,28 @@ def test_markov_decoherence_reports_no_onset(tmp_path, capsys):
     assert "onset: none" in out
 
 
+def test_markov_reports_no_onset_past_the_underflow(tmp_path, capsys):
+    # T1 = inf is never EB, though past t ~ 745 T2 its rows' margins are 0
+    code, out, _ = run_cli(
+        capsys,
+        "markov",
+        "--family",
+        "homogenization",
+        "--T1",
+        "inf",
+        "--T2",
+        "1",
+        "--w",
+        "0.5",
+        "--t-max",
+        "3000",
+        "--output",
+        str(tmp_path / "homog.csv"),
+    )
+    assert code == 0
+    assert out == "onset: none\n"
+
+
 def test_markov_homogenization_json(tmp_path, capsys):
     out_path = tmp_path / "homog.json"
     code, out, _ = run_cli(

@@ -238,9 +238,15 @@ def test_homogenization_pure_fixed_point_never_eb():
     # though, falling under the closed form's 1e-12 slack around t ~ 14 and
     # under the eigensolver's resolution around t ~ 18, so the tolerance-
     # bound checks run on the resolvable window and a cancellation-free
-    # margin bound covers the rest
+    # margin bound covers the rest.  The float rows' exact factor is
+    # rounding noise by t = 30, where n3 = fl(1 - e1) != 1 - e1 makes it
+    # positive, and 0 past t ~ 745, where e2 underflows: the onset is none
+    # by the family's rule
     fam = Homogenization(T1=1.0, T2=1.0, w=1.0)
-    assert eb_onset(fam, 15.0) is None
+    for t_max in (15.0, 50.0, 2000.0):
+        assert eb_onset(fam, t_max) is None
+    assert exact_pt_factor(*_row(fam, 30.0)) > 0
+    assert exact_pt_factor(*_row(fam, 2000.0)) == 0
     for t in np.linspace(0.01, 13.0, 200):
         assert not homogenization_eb_condition(float(t), 1.0, 1.0, 1.0)
     for t in np.linspace(0.01, 100.0, 500):
@@ -457,43 +463,59 @@ def test_eb_onset_matches_scalar_walk(family, t_max):
 
 
 def _count_probes(monkeypatch):
-    # the decider of each probe: every probe reads the family factor first,
-    # and the probes it leaves go on to Jacobi
+    # the decider of each probe: every probe reads the family factor in
+    # floats first, and the probes inside its band read it again exactly
     probes = []
     family_factor = markov._family_factor
 
     def counting_family_factor(c, s, e1, n3):
-        # a probe in Python floats costs a fifth of one in numpy scalars
-        assert all(type(x) is float for x in (c, s, e1, n3)), "probe off Python floats"
-        probes.append("factor")
+        if all(type(x) is Fraction for x in (c, s, e1, n3)):
+            probes[-1] = "exact"
+        else:
+            # a probe in Python floats costs a fifth of one in numpy scalars
+            assert all(type(x) is float for x in (c, s, e1, n3)), "probe off Python floats"
+            probes.append("factor")
         return family_factor(c, s, e1, n3)
 
-    def counting_pt_margin(phi):
-        probes[-1] = "jacobi"
-        return ebtest.pt_margin(phi)
-
-    def scalar_only(matrix):
-        assert np.ndim(matrix) == 2, "stacked eigensolve under eb_onset"
-        return hermitian_eigenvalues(matrix)
-
     monkeypatch.setattr(markov, "_family_factor", counting_family_factor)
-    monkeypatch.setattr(markov, "pt_margin", counting_pt_margin)
-    monkeypatch.setattr(ebtest, "hermitian_eigenvalues", scalar_only)
     return probes
 
 
 def test_eb_onset_probes_once_without_crossing(monkeypatch):
-    # the factor at t_max, -4 e^{-100}, is far inside its band
+    # a family not EB at t_max takes one probe there, and a family that is
+    # EB at no time none
     probes = _count_probes(monkeypatch)
+    assert eb_onset(Homogenization(T1=1.0, T2=1.0, w=0.5), 1.0) is None
+    assert probes == ["factor"]
+    probes.clear()
     assert eb_onset(Decoherence(T=1.0, omega=5.0), 50.0) is None
-    assert probes == ["jacobi"]
+    assert probes == []
+
+
+@pytest.mark.parametrize(
+    "family, t_max",
+    [
+        (Decoherence(T=1.0, omega=5.0), 3000.0),
+        (Homogenization(T1=1.0, T2=1.0, w=1.0), 2000.0),
+        (Homogenization(T1=math.inf, T2=1.0, w=0.5), 3000.0),
+        (Depolarization(T=math.inf), 50.0),
+    ],
+)
+def test_never_eb_families_report_no_onset_without_a_probe(monkeypatch, family, t_max):
+    # T1 = inf or w = 1.  Past t ~ 745 T2 e2 underflows, and the float
+    # row's exact factor is 0: a probe would read the channel as EB
+    probes = _count_probes(monkeypatch)
+    assert eb_onset(family, t_max) is None
+    assert probes == []
+    if t_max > 745.0:
+        assert exact_pt_factor(*_row(family, t_max)) == 0
 
 
 def test_eb_onset_bisects_the_crossing(monkeypatch):
     probes = _count_probes(monkeypatch)
     assert eb_onset(Depolarization(T=1.0), 10.0) is not None
     assert len(probes) <= 40
-    assert probes.count("jacobi") == 0
+    assert probes.count("exact") == 0
 
 
 def test_eb_onset_bisects_a_non_cp_crossing_without_jacobi(monkeypatch):
@@ -502,9 +524,21 @@ def test_eb_onset_bisects_a_non_cp_crossing_without_jacobi(monkeypatch):
     family = Homogenization(0.5, 2.5, 0.3, 1.0)
     probes = _count_probes(monkeypatch)
     onset = eb_onset(family, 10.0)
-    assert onset is not None and probes.count("jacobi") == 0
+    assert onset is not None and probes.count("exact") == 0
     monkeypatch.undo()
     assert onset == _jacobi_onset(family, 10.0)
+
+
+# w just below 1: g rises only to 1 - w^2 ~ 2e-12, inside the band, so
+# most probes around the crossing are decided exactly
+_IN_BAND = Homogenization(T1=1.0, T2=1.0, w=1.0 - 1e-12)
+
+
+def test_eb_onset_decides_in_band_probes_exactly(monkeypatch):
+    probes = _count_probes(monkeypatch)
+    onset = eb_onset(_IN_BAND, 30.0)
+    assert probes.count("exact") >= 20
+    assert onset == _exact_onset(_IN_BAND, 30.0)
 
 
 def _row(family, t):
@@ -590,6 +624,20 @@ def test_pt_factor_band_covers_the_crossing(family):
             assert (g > 0.0) == (pt_margin(QubitChannelAffine(n, m)) >= 0.0)
 
 
+def test_family_factor_of_fractions_is_the_exact_factor():
+    # the probe's factor on the `Fraction`s of a float row, against the
+    # independent exact factor; w = 1 and underflowing e2 give exact zeros
+    zeros = 0
+    for family, times in _random_grids(np.random.default_rng(74), 12):
+        n, m = markov._params(family, times)
+        rates = markov._rates(family)
+        for t, row_n, row_m in zip(times.tolist(), n, m):
+            g = markov._family_factor(*map(Fraction, markov._row(rates, t)))
+            assert type(g) is Fraction and g == exact_pt_factor(row_n, row_m)
+            zeros += g == 0
+    assert zeros > 0
+
+
 def test_family_factor_columns_equal_the_probe_values():
     # numpy rounds the columns as Python rounds the probe's floats, so a
     # column of g holds the bits of the per-row values
@@ -617,7 +665,8 @@ def test_scan_margins_have_the_exact_sign():
     # factor: 27000 rows, 8640 of them decoherence margins below 1e-13,
     # down to e^{-740} / 2.  w = 1 is left out: its exact margins are
     # negative but below double resolution at long times, and 1549 of 9000
-    # such rows come out as 0.0, which reads as EB (ROADMAP item 2)
+    # such rows come out as 0.0.  The scan publishes them, read as EB within
+    # the verdict tolerance; `eb_onset` reports none for such a family
     for family, T in _exact_sign_families(np.random.default_rng(31), 30):
         columns = scan(family, 0.0, 740.0 * T, 300).columns
         n, m = markov._params(family, columns["t"])
@@ -626,11 +675,8 @@ def test_scan_margins_have_the_exact_sign():
             assert np.sign(margin) == (g > 0) - (g < 0)
 
 
-def _jacobi_onset(family, t_max):
-    # eb_onset's bisection with every probe decided by the Jacobi margin
-    def is_eb(t):
-        return pt_margin(channel_at(family, t)) >= 0.0
-
+def _bisect_onset(is_eb, t_max):
+    # eb_onset's bisection, with the probes of `is_eb`
     times = np.linspace(0.0, t_max, 1000).tolist()
     if not is_eb(times[-1]):
         return None
@@ -649,6 +695,16 @@ def _jacobi_onset(family, t_max):
         else:
             lo = mid
     return hi
+
+
+def _jacobi_onset(family, t_max):
+    # every probe decided by the Jacobi margin
+    return _bisect_onset(lambda t: pt_margin(channel_at(family, t)) >= 0.0, t_max)
+
+
+def _exact_onset(family, t_max):
+    # every probe decided by the exact factor of the float row
+    return _bisect_onset(lambda t: exact_pt_factor(*_row(family, t)) >= 0, t_max)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -687,14 +743,51 @@ _non_cp_homogenizations = st.builds(
 )
 
 
+_onset_families = st.one_of(_families, _non_cp_homogenizations)
+
+
 @settings(max_examples=200)
-@given(st.one_of(_families, _non_cp_homogenizations), st.floats(min_value=0.1, max_value=60.0))
+@given(_onset_families, st.floats(min_value=0.1, max_value=60.0))
 # w = 1 is never EB, yet near t = 50, and where e^{-t/T2} underflows,
-# its margins are rounding noise
+# the margins of its float rows are rounding noise that can read as EB
 @example(Homogenization(1.5114095655303443, 2.5718852850371654, 1.0, 9.343618442948134), 50.0)
 @example(Homogenization(T1=1.0, T2=1.0, w=1.0), 2000.0)
-def test_eb_onset_equals_the_jacobi_bisection(family, t_max):
-    assert eb_onset(family, t_max) == _jacobi_onset(family, t_max)
+@example(_IN_BAND, 30.0)
+def test_eb_onset_equals_the_exact_bisection(family, t_max):
+    T1, _, w, _ = markov._rates(family)
+    never_eb = T1 == math.inf or w == 1.0
+    assert eb_onset(family, t_max) == (None if never_eb else _exact_onset(family, t_max))
+
+
+@settings(max_examples=100)
+@given(_onset_families, st.floats(min_value=0.1, max_value=3000.0))
+@example(_IN_BAND, 30.0)
+def test_eb_onset_calls_no_eigensolver_and_builds_no_channel(family, t_max):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve or channel under eb_onset")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (markov, ebtest):
+            patch.setattr(module, "hermitian_eigenvalues", refuse)
+        patch.setattr(markov, "channel_at", refuse)
+        patch.setattr(markov, "QubitChannelAffine", refuse)
+        eb_onset(family, t_max)
+
+
+# the smallest band the rounding bound of `_family_factor` allows, gamma_4 S
+# + 2^-1072 with S <= 6 up to a few eps
+_MIN_BAND = 12.1 * 2.0**-52
+
+
+@settings(max_examples=100)
+@given(_onset_families, st.floats(min_value=0.1, max_value=60.0))
+@example(_IN_BAND, 30.0)
+def test_eb_onset_does_not_depend_on_the_band(family, t_max):
+    onset = eb_onset(family, t_max)
+    for band in (2.0**-30, _MIN_BAND):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(markov, "_PT_FACTOR_BAND", band)
+            assert eb_onset(family, t_max) == onset
 
 
 def _row_wise_csv(result):
