@@ -33,7 +33,7 @@ from .channel import (
     seb_example_channel,
     unitary_channel,
 )
-from .ebtest import is_eb_numeric
+from .ebtest import _is_eb, is_eb_numeric
 from .errors import InvalidParameter, NonPositiveOutput
 from .linalg import (
     STACK_BLOCK,
@@ -41,7 +41,7 @@ from .linalg import (
     hermitian_eigenvalues,
     partial_transpose,
 )
-from .tolerances import AMEND_TIE_TOL, EB_BOUNDARY_TOL, OUTPUT_PSD_TOL
+from .tolerances import AMEND_TIE_TOL, OUTPUT_PSD_TOL
 
 __all__ = [
     "UnitarySample",
@@ -288,7 +288,7 @@ def local_amendment_search(
         best_pt_min_eig=-best_violation,
         best_trial=int(pool.trial[row]),
         best_unitaries=best_unitaries,
-        amended=bool(base_verdict.is_eb and best_violation > EB_BOUNDARY_TOL),
+        amended=base_verdict.is_eb and not _is_eb(-best_violation),
     )
 
 
@@ -381,7 +381,7 @@ def global_amendment_example(
     return GlobalAmendmentResult(
         output_state=mapped,
         pt_min_eig=pt_min,
-        entangled=pt_min < -EB_BOUNDARY_TOL,
+        entangled=not _is_eb(pt_min),
         ordering=ordering,
         min_output_eig=min_eig,
     )

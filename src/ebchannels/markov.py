@@ -320,9 +320,10 @@ def scan(
     """Sample the family on a uniform grid of `steps` times.
 
     Each row's CP gate and margin are read off 2x2 blocks of its Choi
-    matrix, with the bits of a 4x4 eigensolve.  Homogenization scans
-    additionally carry the f1/f2/f diagnostics and the closed-form verdict
-    column cf_eb.
+    matrix, with the bits of a 4x4 eigensolve, and lam1..lam3 are its
+    singular values off its `_row`: |c + i s| twice and e1, no LAPACK
+    call.  Homogenization scans additionally carry the f1/f2/f
+    diagnostics and the closed-form verdict column cf_eb.
     """
     if steps < 2:
         raise InvalidParameter(f"steps must be at least 2, got {steps}")
@@ -348,14 +349,13 @@ def scan(
     pt = partial_transpose(choi_matrix, 2, 2)
     low = hermitian_eigenvalues(pt[:, ::3, ::3])[:, 0]
     margins = np.minimum(low, np.minimum(pt[:, 1, 1].real, pt[:, 2, 2].real))
-    # the singular values of `canonical_form`, taken from the same LAPACK
-    # call as svd3 makes: without vectors it rounds differently
-    lam = np.linalg.svd(m)[1]
+    # (r, r, e1) sorted descending, r by math.hypot (numpy's can miss a bit)
+    r = np.fromiter(map(math.hypot, m[:, 0, 0].tolist(), m[:, 0, 1].tolist()), float, steps)
     columns = {
         "t": times,
-        "lam1": lam[:, 0],
-        "lam2": lam[:, 1],
-        "lam3": lam[:, 2],
+        "lam1": np.maximum(r, m[:, 2, 2]),
+        "lam2": r,
+        "lam3": np.minimum(r, m[:, 2, 2]),
         "margin": margins,
         "is_eb": _is_eb(margins),
     }

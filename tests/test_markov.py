@@ -1,6 +1,8 @@
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -852,6 +854,61 @@ def test_scan_rows_match_per_row_analysis(family):
         assert is_eb == verdict.is_eb
         lam = np.abs(canonical_form(phi).lam)
         assert np.abs(row_lam - lam).max() <= 1e-15
+
+
+def _scan_lam_grids():
+    # `_random_grids`' scans that are CP, and the depolarization row whose
+    # three singular values LAPACK returned an ulp short: diag(e, e, e) at
+    # t = 1000 * 5 / 14, e = exp(-1000 * 5 / 14)
+    grids = _random_grids(np.random.default_rng(75), 40)
+    for family, times in [(Depolarization(T=1.0), np.linspace(0.0, 1000.0, 15)), *grids]:
+        if len(times) < 2:
+            continue
+        try:
+            yield family, times, scan(family, 0.0, float(times[-1]), len(times)).columns
+        except NotCP:
+            continue
+
+
+def test_scan_lam_is_correctly_rounded():
+    # each row's lam1..lam3 are (|c + i s|, |c + i s|, e1) of its `_params`
+    # row sorted descending, each within half an ulp of the exact value.  A
+    # subnormal |c + i s| is rounded twice, as math.hypot scales subnormal
+    # inputs up by 2^1022 and the result back down, so it may miss by a
+    # part in 2^53 of its value more
+    rows = 0
+    with mpmath.workprec(200):
+        for family, times, columns in _scan_lam_grids():
+            lam = np.stack([columns["lam1"], columns["lam2"], columns["lam3"]], axis=1)
+            _, m = markov._params(family, times)
+            expected = []
+            for c, s, e1 in zip(m[:, 0, 0].tolist(), m[:, 0, 1].tolist(), m[:, 2, 2].tolist()):
+                r = math.hypot(c, s)
+                expected.append(sorted((r, r, e1), reverse=True))
+                exact_r = mpmath.sqrt(mpmath.mpf(c) ** 2 + mpmath.mpf(s) ** 2)
+                bound = mpmath.mpf(math.ulp(r)) / 2
+                if r < sys.float_info.min:
+                    bound += mpmath.mpf(r) * 2**-53
+                assert abs(mpmath.mpf(r) - exact_r) <= bound
+            assert lam.tobytes() == np.array(expected).tobytes()
+            rows += len(times)
+    assert rows > 5000
+
+
+def test_scan_calls_no_lapack(monkeypatch):
+    expected = [scan(family, 0.0, 6.0, 301).columns for family in FAMILIES]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("svd", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for family, columns in zip(FAMILIES, expected):
+        result = scan(family, 0.0, 6.0, 301).columns
+        assert list(result) == list(columns)
+        assert all(result[k].tobytes() == columns[k].tobytes() for k in columns)
+    with pytest.raises(NotCP):
+        scan(Homogenization(0.1, 0.5, 0.5), 0.0, 1.0, 301)
 
 
 def _counting_eigensolves(monkeypatch, module):
