@@ -24,7 +24,7 @@ from .channel import (
     choi_partial_transpose,
 )
 from .errors import PreconditionViolated
-from .linalg import _squares, hermitian_eigenvalues, partial_transpose
+from .linalg import hermitian_eigenvalues, partial_transpose
 from .tolerances import AXIS_ZERO_TOL, CLOSED_FORM_TOL, EB_BOUNDARY_TOL, RANK_TOL
 
 __all__ = [
@@ -157,10 +157,9 @@ def unital_eb_condition_minmax(lam) -> bool:
     min{(1 - l3)^2, (1 + l3)^2} >= max{(l1 - l2)^2, (l1 + l2)^2};
     agrees with `unital_eb_condition` everywhere on [-1, 1]^3.
     """
-    l1, l2, l3 = np.asarray(lam, dtype=float).reshape(3)
-    lhs = min((1.0 - l3) ** 2, (1.0 + l3) ** 2)
-    rhs = max((l1 - l2) ** 2, (l1 + l2) ** 2)
-    return bool(lhs >= rhs - CLOSED_FORM_TOL)
+    l1, l2, l3 = np.asarray(lam, dtype=float).reshape(3).tolist()
+    lo, hi, diff, total = 1.0 - l3, 1.0 + l3, l1 - l2, l1 + l2
+    return min(lo * lo, hi * hi) >= max(diff * diff, total * total) - CLOSED_FORM_TOL
 
 
 def lambda1_zero_spectrum(lam2: float, lam3: float, n) -> np.ndarray:
@@ -201,16 +200,19 @@ def uniaxial_eb_condition(lam, n_axis, axis: int = 2) -> bool | np.ndarray:
     where a is the translation axis and b, c the other two.  One channel
     (lam of shape (3,), a scalar n_axis) gives a bool; leading axes (lam
     (..., 3), n_axis (...)) give a bool array of one verdict per channel.
+
+    It is evaluated as 1 - |l_a| >= sqrt((|l_b| + |l_c|)^2 + n_axis^2).
+    Correctly rounded +, * and sqrt are monotone and rounding is symmetric
+    in sign, so for finite lam each side is bit for bit the min or max
+    above, and the verdict is the same for nan, inf and overflow.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = np.abs(np.asarray(lam, dtype=float))
     n_axis = np.asarray(n_axis, dtype=float)
     i1, i2, i3 = _axis_order(axis)
-    l1, l2, l3 = lam[..., i1], lam[..., i2], lam[..., i3]
-    lhs = np.minimum(1.0 - l3, 1.0 + l3)
     with np.errstate(over="ignore"):  # a square or sum beyond the float range is inf: not EB
-        nn = n_axis * n_axis
-        rhs = np.maximum(np.sqrt(_squares(l1 + l2) + nn), np.sqrt(_squares(l1 - l2) + nn))
-    is_eb = lhs >= rhs - CLOSED_FORM_TOL
+        b = lam[..., i1] + lam[..., i2]
+        rhs = np.sqrt(b * b + n_axis * n_axis)
+    is_eb = 1.0 - lam[..., i3] >= rhs - CLOSED_FORM_TOL
     return bool(is_eb) if is_eb.ndim == 0 else is_eb
 
 
@@ -221,8 +223,9 @@ def uniaxial_spectra(lam, n3: float) -> tuple[np.ndarray, np.ndarray]:
     swaps the roles of (l1 - l2) and (l1 + l2) under the square roots.
     """
     l1, l2, l3 = np.asarray(lam, dtype=float).reshape(3)
-    a = np.sqrt((l1 - l2) ** 2 + n3 * n3)
-    b = np.sqrt((l1 + l2) ** 2 + n3 * n3)
+    diff, total = l1 - l2, l1 + l2
+    a = np.sqrt(diff * diff + n3 * n3)
+    b = np.sqrt(total * total + n3 * n3)
     spec_rho = np.array(
         [1.0 - l3 - a, 1.0 - l3 + a, 1.0 + l3 - b, 1.0 + l3 + b]
     ) / 4.0

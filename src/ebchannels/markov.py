@@ -19,7 +19,7 @@ import numpy as np
 from .channel import QubitChannelAffine, _choi, _choi_min
 from .ebtest import _is_eb, uniaxial_eb_condition
 from .errors import InvalidParameter, NegativeTime
-from .linalg import _elementwise, _squares, hermitian_eigenvalues, partial_transpose
+from .linalg import _elementwise, hermitian_eigenvalues, partial_transpose
 
 __all__ = [
     "Decoherence",
@@ -147,8 +147,8 @@ def channel_at(family: DynamicalFamily, t: float) -> QubitChannelAffine:
         raise NegativeTime(f"time must be nonnegative, got {t}")
     if not math.isfinite(t):
         raise InvalidParameter(f"time must be finite, got {t}")
-    n, m = _params(family, np.array([float(t)]))
-    return QubitChannelAffine(n[0], m[0])
+    c, s, e1, n3 = _row(_rates(family), float(t))
+    return QubitChannelAffine([0.0, 0.0, n3], [[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, e1]])
 
 
 def _family_factor(c, s, e1, n3):
@@ -253,27 +253,30 @@ class HomogenizationF:
     f: float
 
 
-def _homogenization(
-    times: np.ndarray, T1: float, T2: float, w: float
-) -> dict[str, np.ndarray]:
-    """Scan columns f1, f2, f and cf_eb of homogenization at the `times`.
+def _homogenization(e1, e2, w: float) -> dict:
+    """f1, f2, f and cf_eb of homogenization with damping e1 = e^{-t/T1}, e2 = e^{-t/T2}.
 
-    Rounds as scalar Python arithmetic would: the exponentials go through
-    math.exp and the squares through libm pow, as numpy's vectorized exp
-    and array squares differ in the last bit on some inputs.
+    One expression on Python floats or numpy columns alike.  Every
+    square is a product, so correctly rounded, and numpy rounds each
+    operation on a column as Python rounds it on a float: a scan, which
+    passes its own rows' e1, holds in its f-columns the bits of
+    `homogenization_f` and `homogenization_eb_condition` at each time.
     """
-    # as in Python floats, -t / T overflows to -inf quietly, and a zero
-    # time constant raises (an ArithmeticError either way)
-    with np.errstate(over="ignore", divide="raise", invalid="raise"):
-        e1 = _elementwise(math.exp, -times / T1)
-        e2 = _elementwise(math.exp, -times / T2)
-    decay = _squares(1.0 - e1)
-    f1 = (1.0 - w * w) * decay - 4.0 * e2 * e2
-    f2 = 1.0 - e2 - np.sqrt(_squares(e1 + e2) + w * w * decay)
+    d = 1.0 - e1
+    b = e1 + e2
+    f1 = (1.0 - w * w) * (d * d) - 4.0 * e2 * e2
+    f2 = 1.0 - e2 - np.sqrt(b * b + w * w * (d * d))
     # the family's singular values (e2, e2, e1) and translation
     # w (1 - e1) along z, in the single-axis criterion
-    cf_eb = uniaxial_eb_condition(np.stack([e2, e2, e1], axis=-1), w * (1.0 - e1), axis=2)
+    cf_eb = uniaxial_eb_condition(np.stack([e2, e2, e1], axis=-1), w * d, axis=2)
     return {"f1": f1, "f2": f2, "f": np.minimum(f1, f2), "cf_eb": cf_eb}
+
+
+def _damping(t: float, T1: float, T2: float) -> tuple[float, float]:
+    # e1 and e2 in Python floats: -t / T overflows to -inf quietly, and a
+    # zero time constant raises ZeroDivisionError
+    t = float(t)
+    return math.exp(-t / float(T1)), math.exp(-t / float(T2))
 
 
 def homogenization_f(t: float, T1: float, T2: float, w: float) -> HomogenizationF:
@@ -284,11 +287,13 @@ def homogenization_f(t: float, T1: float, T2: float, w: float) -> Homogenization
     that does not follow from that criterion; it is kept verbatim as a
     reported diagnostic, and scans carry it next to the oracle verdict so
     the disagreement is visible rather than silently patched.
+
+    Squares are correctly rounded products.  A homogenization scan's
+    f1/f2/f columns equal these values bit for bit at each row's time:
+    both evaluate `_homogenization`, the scan on e1 of its own rows.
     """
-    columns = _homogenization(np.array([float(t)]), T1, T2, w)
-    return HomogenizationF(
-        f1=float(columns["f1"][0]), f2=float(columns["f2"][0]), f=float(columns["f"][0])
-    )
+    values = _homogenization(*_damping(t, T1, T2), w)
+    return HomogenizationF(f1=float(values["f1"]), f2=float(values["f2"]), f=float(values["f"]))
 
 
 def homogenization_eb_condition(t: float, T1: float, T2: float, w: float) -> bool:
@@ -298,7 +303,7 @@ def homogenization_eb_condition(t: float, T1: float, T2: float, w: float) -> boo
     and translation w(1 - e^{-t/T1}) into the single-axis criterion; this
     is the authoritative closed-form verdict for the family.
     """
-    return bool(_homogenization(np.array([float(t)]), T1, T2, w)["cf_eb"][0])
+    return _homogenization(*_damping(t, T1, T2), w)["cf_eb"]
 
 
 @dataclass(frozen=True)
@@ -360,7 +365,10 @@ def scan(
         "is_eb": _is_eb(margins),
     }
     if isinstance(family, Homogenization):
-        columns.update(_homogenization(times, family.T1, family.T2, family.w))
+        _, T2, w, _ = _rates(family)
+        with np.errstate(over="ignore"):  # -t / T2 overflows to -inf, as in Python floats
+            e2 = _elementwise(math.exp, -times / T2)
+        columns.update(_homogenization(m[:, 2, 2], e2, w))
     return TimeScan(family, columns)
 
 

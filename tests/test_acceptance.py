@@ -36,7 +36,7 @@ from ebchannels import (
 from ebchannels.amend import REFERENCE_AMENDED_STATE
 from ebchannels.channel import _choi
 from ebchannels.ebtest import _numeric_verdicts
-from ebchannels.linalg import hermitian_eigenvalues, partial_transpose
+from ebchannels.linalg import _elementwise, hermitian_eigenvalues, partial_transpose
 from ebchannels.markov import _homogenization, _params
 from helpers import random_lambda1_zero_cp
 
@@ -190,7 +190,8 @@ def test_criterion_07_homogenization_grid():
         for w in (0.0, 0.3, 0.7, 1.0):
             family = Homogenization(T1=float(ratio), T2=1.0, w=w)
             _, margins, is_eb = _numeric_verdicts(*_params(family, times))
-            columns = _homogenization(times, float(ratio), 1.0, w)
+            e1 = _elementwise(math.exp, -times / float(ratio))
+            columns = _homogenization(e1, _elementwise(math.exp, -times / 1.0), w)
             closed = columns["cf_eb"]
             total += len(times)
             resolved = np.abs(margins) > 1e-9

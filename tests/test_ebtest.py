@@ -35,8 +35,8 @@ from ebchannels.channel import (
     compose,
 )
 from ebchannels.errors import NotCP, PreconditionViolated
-from ebchannels.linalg import _squares, hermitian_eigenvalues, svd3
-from ebchannels.tolerances import CP_TOL, KNIFE_EDGE_BAND
+from ebchannels.linalg import hermitian_eigenvalues, svd3
+from ebchannels.tolerances import CLOSED_FORM_TOL, CP_TOL, KNIFE_EDGE_BAND
 from helpers import (
     axial_channel,
     random_axial_cp,
@@ -200,10 +200,47 @@ def test_uniaxial_condition_overflow_is_not_eb():
     assert closed_form_verdict(phi) == (EBMethod.UNIAXIAL_CLOSED_FORM, False)
 
 
-def test_squares_keep_libm_digits_and_overflow_to_inf():
-    finite = np.random.default_rng(50).uniform(-2.0, 2.0, 1000).tolist() + [1e154, -1.3e154]
-    assert _squares(finite).tolist() == [v ** 2 for v in finite]
-    assert _squares([1.4e154, -1e200, 1e308]).tolist() == [np.inf] * 3
+def _minmax_uniaxial(lam, n_axis, axis):
+    # the docstring's statement of the criterion, literally, squares as products
+    b, c = (i for i in range(3) if i != axis)
+    la, lb, lc = lam[..., axis], lam[..., b], lam[..., c]
+    with np.errstate(over="ignore", invalid="ignore"):
+        plus, minus, nn = lb + lc, lb - lc, n_axis * n_axis
+        lhs = np.minimum(1.0 - la, 1.0 + la)
+        rhs = np.maximum(np.sqrt(plus * plus + nn), np.sqrt(minus * minus + nn))
+        return lhs >= rhs - CLOSED_FORM_TOL
+
+
+def _uniaxial_draws(rng, size, axis):
+    # entries in [-2, 2] mixed with subnormals, +-inf and nan, values whose
+    # squares overflow, and exact small values
+    values = rng.uniform(-2.0, 2.0, (size, 4))
+    kind = rng.choice(5, (size, 4), p=[0.55, 0.1, 0.1, 0.1, 0.15])
+    values[kind == 1] *= 1e-310
+    values[kind == 2] = rng.choice([np.inf, -np.inf, np.nan], np.count_nonzero(kind == 2))
+    values[kind == 3] *= 1e200
+    values[kind == 4] = rng.choice([0.0, -0.0, 0.5, -1.0, 1.0], np.count_nonzero(kind == 4))
+    lam, n_axis = values[:, :3], values[:, 3]
+    # a quarter of the rows put l_a within a few ulps of the boundary
+    b, c = (i for i in range(3) if i != axis)
+    edge = np.flatnonzero(rng.random(size) < 0.25)
+    steps = rng.integers(-3, 4, len(edge))
+    signs = rng.choice([-1.0, 1.0], len(edge))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, n = abs(lam[edge, b]) + abs(lam[edge, c]), n_axis[edge]
+        bound = 1.0 - np.sqrt(total * total + n * n) + CLOSED_FORM_TOL
+        lam[edge, axis] = signs * (bound + steps * np.spacing(bound))
+    return lam, n_axis
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_uniaxial_reduced_form_equals_the_min_max_statement(axis):
+    lam, n_axis = _uniaxial_draws(np.random.default_rng(50 + axis), 100_000, axis)
+    want = _minmax_uniaxial(lam, n_axis, axis)
+    assert 1000 < np.count_nonzero(want) < len(want) - 1000
+    assert uniaxial_eb_condition(lam, n_axis, axis).tolist() == want.tolist()
+    single = [uniaxial_eb_condition(l, n, axis) for l, n in zip(lam[:3000], n_axis[:3000])]
+    assert single == want[:3000].tolist()
 
 
 def test_uniaxial_spectra_reduce_to_unital():

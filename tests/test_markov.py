@@ -359,20 +359,24 @@ def test_scan_homogenization_rows_carry_f_columns():
 
 
 def _scalar_homogenization(t, T1, T2, w):
-    # the closed forms in scalar Python arithmetic, as written in the paper
+    # the closed forms in scalar Python arithmetic, as written in the paper,
+    # each square a correctly rounded product
     e1 = math.exp(-t / T1)
     e2 = math.exp(-t / T2)
-    f1 = (1.0 - w * w) * (1.0 - e1) ** 2 - 4.0 * e2 * e2
-    f2 = 1.0 - e2 - math.sqrt((e1 + e2) ** 2 + w * w * (1.0 - e1) ** 2)
-    n3 = w * (1.0 - e1)
+    d, total = 1.0 - e1, e1 + e2
+    f1 = (1.0 - w * w) * (d * d) - 4.0 * e2 * e2
+    f2 = 1.0 - e2 - math.sqrt(total * total + w * w * (d * d))
+    n3 = w * d
+    plus, minus = e2 + e2, e2 - e2
     lhs = min(1.0 - e1, 1.0 + e1)
-    rhs = max(math.sqrt((e2 + e2) ** 2 + n3 * n3), math.sqrt((e2 - e2) ** 2 + n3 * n3))
+    rhs = max(math.sqrt(plus * plus + n3 * n3), math.sqrt(minus * minus + n3 * n3))
     return f1, f2, min(f1, f2), lhs >= rhs - CLOSED_FORM_TOL
 
 
 def _homogenization_scans():
-    # numpy's array square differs from CPython's x ** 2 in the last bit on
-    # row 276 of the first scan
+    # on row 276 of the first scan libm's (e1 + e2) ** 2 misses the
+    # correctly rounded square by an ulp, and the product does not
+    # (`test_scan_f2_squares_by_multiplying`)
     yield Homogenization(T1=3.0, T2=2.5, w=0.5), 5.0
     rng = np.random.default_rng(61)
     for _ in range(40):
@@ -391,6 +395,33 @@ def test_scan_homogenization_columns_equal_the_closed_forms():
             row = (columns["f1"][i], columns["f2"][i], columns["f"][i], columns["cf_eb"][i])
             assert row == (fvals.f1, fvals.f2, fvals.f, homogenization_eb_condition(t, *args))
             assert row == _scalar_homogenization(t, *args)
+
+
+def test_scan_f2_squares_by_multiplying():
+    family = Homogenization(T1=3.0, T2=2.5, w=0.5)
+    columns = scan(family, 0.0, 5.0, 301).columns
+    t = columns["t"].tolist()[276]
+    e1, e2 = math.exp(-t / 3.0), math.exp(-t / 2.5)
+    total = e1 + e2
+    exact = float(Fraction(total) ** 2)
+    assert total * total == exact
+    assert total**2 != exact  # libm pow misrounds this square
+    d = 1.0 - e1
+    f2 = 1.0 - e2 - math.sqrt(total * total + 0.5 * 0.5 * (d * d))
+    assert columns["f2"][276] == f2 == homogenization_f(t, 3.0, 2.5, 0.5).f2
+
+
+def test_scan_homogenization_on_overflow_grids_equals_the_closed_forms():
+    # -t / T2 overflows to -inf for t past ~1e8 here: e2 is 0 quietly, as
+    # in Python floats, and no RuntimeWarning is raised
+    for T1, T2, w in [(1e-300, 1e-300, 0.5), (1.0, 1e-300, 0.0), (1e300, 1e-300, 1.0)]:
+        family = Homogenization(T1=T1, T2=T2, w=w)
+        columns = scan(family, 0.0, 1e300, 41).columns
+        assert columns["t"][-1] == 1e300
+        for i, t in enumerate(columns["t"].tolist()):
+            fvals = homogenization_f(t, T1, T2, w)
+            row = (columns["f1"][i], columns["f2"][i], columns["f"][i], columns["cf_eb"][i])
+            assert row == (fvals.f1, fvals.f2, fvals.f, homogenization_eb_condition(t, T1, T2, w))
 
 
 def test_scan_validation():
