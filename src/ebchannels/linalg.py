@@ -26,12 +26,13 @@ MAX_JACOBI_SWEEPS = 100
 _REL_PIVOT_SKIP = 1e-18
 
 # matrices per vectorized sweep of a stack: large enough to amortize the
-# per-sweep overhead, small enough to bound the working memory.  On 4x4
-# PT-Choi matrices each pivot rotation costs ~55-160 us of numpy calls per
-# block whatever its size, against ~0.43 us per matrix (2 CPUs, numpy
-# 2.4): 1000 depolarizing:1/3 search trials sweep in ~17-21 ms in blocks
-# of 200 and ~13-16 ms in blocks of 512.  The amendment search holds ~2.9
-# kB per trial of its block (tracemalloc peak)
+# per-sweep overhead, small enough to bound the working memory.  On dense
+# 4x4 PT-Choi matrices a block costs ~1.0-1.4 ms fixed plus ~10-11 us per
+# matrix (2 CPUs, numpy 2.4), so the fixed part is about a fifth of a full
+# block.  The amendment search holds about two blocks of trials: 3-layer
+# searches on the tie base depolarizing:1/3 peak at ~2.75 MB for 3000 and
+# 10000 trials, ~10.7 MB at 10000 in blocks of 2048 (tracemalloc), and
+# `test_search_memory_stays_within_a_block` bounds the 1000-trial peak
 STACK_BLOCK = 512
 
 # shortest stack worth the vectorized sweep: it costs ~0.9 ms fixed, the

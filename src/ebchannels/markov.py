@@ -183,18 +183,15 @@ def _family_factor(c, s, e1, n3):
 # probes, ~30x dearer, to the rows near a crossing.
 _PT_FACTOR_BAND = 2.0**-40
 
-# the grid whose first EB point brackets the onset; it fixes where the
-# refinement starts, and so the reported digits
-_ONSET_GRID = 1000
-
 
 def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
     """Earliest time in [0, t_max] at which the channel becomes EB.
 
     The families are semigroups, and an EB channel followed by any
     channel is EB, so the margin crosses zero at most once: the onset is
-    found by bisecting a 1000-point grid on [0, t_max] for its first EB
-    point, then the interval before it to 1e-9 relative precision.
+    found by bisecting [0, t_max] until the bracket (lo, hi] holding it
+    is at most 1e-9 max(1, hi) wide, and hi is returned: within 1e-9
+    relative of the onset above t = 1, within 1e-9 absolute below it.
     Returns None when the channel is not EB at t_max.  The crossing test
     is strict (margin >= 0 rather than the verdict tolerance): families
     whose margin approaches zero from below without ever reaching it
@@ -223,18 +220,10 @@ def eb_onset(family: DynamicalFamily, t_max: float) -> float | None:
             return g > 0.0
         return _family_factor(*map(Fraction, row)) >= 0
 
-    times = np.linspace(0.0, t_max, _ONSET_GRID).tolist()
-    if not is_eb(times[-1]):
-        return None
     # every family is the identity channel, never EB, at t = 0
-    below, hit = 0, len(times) - 1
-    while hit - below > 1:
-        mid = (below + hit) // 2
-        if is_eb(times[mid]):
-            hit = mid
-        else:
-            below = mid
-    lo, hi = times[hit - 1], times[hit]
+    lo, hi = 0.0, float(t_max)
+    if not is_eb(hi):
+        return None
     while hi - lo > 1e-9 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if is_eb(mid):

@@ -451,48 +451,37 @@ def test_scan_csv_format():
     assert plain.startswith("t,lam1,lam2,lam3,margin,is_eb\n")
 
 
-def _scalar_onset(family, t_max, coarse_steps):
-    # the reference eb_onset must reproduce: a linear walk over the grid,
-    # one channel at a time, then the same refinement
-    def margin(t):
-        return pt_margin(channel_at(family, t))
-
-    times = np.linspace(0.0, t_max, coarse_steps)
-    if margin(float(times[0])) >= 0.0:
-        return float(times[0])
-    for previous, t in zip(times, times[1:]):
-        if margin(float(t)) >= 0.0:
-            lo, hi = float(previous), float(t)
-            break
-    else:
-        return None
-    while hi - lo > 1e-9 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if margin(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 @pytest.mark.parametrize(
     "family, t_max",
     [
         (Depolarization(T=1.0), 10.0),
-        # on the 1000-point grid the margin turns nonnegative at index 200
+        # the crossing falls at a fifth of t_max
         (Depolarization(T=1.0), math.log(3.0) * 999 / 199.5),
         (Homogenization(T1=1.0, T2=1.0, w=0.5, omega=3.0), 8.0),
+        # EB at no time
         (Decoherence(T=1.0, omega=5.0), 50.0),
-        # the crossing falls in the last grid interval
+        # the crossing falls just before t_max
         (Depolarization(T=1.0), math.log(3.0) * 999 / 998.5),
-        # the crossing falls in the first grid interval
+        # the crossing falls near 0 on the scale of t_max
         (Depolarization(T=1.0), 1100.0),
         # the crossing is t_max itself
         (Depolarization(T=1.0), math.log(3.0)),
+        # the onset T ln 3 ~ 1.1e-320 lies below the 1e-9 absolute bound
+        (Depolarization(T=1e-320), 5.0),
     ],
 )
-def test_eb_onset_matches_scalar_walk(family, t_max):
-    assert eb_onset(family, t_max) == _scalar_onset(family, t_max, 1000)
+def test_eb_onset_brackets_the_exact_crossing(family, t_max):
+    # the reported onset's float row is exactly EB, and the row 1e-9
+    # max(1, onset) before it, when that time is positive, is not
+    onset = eb_onset(family, t_max)
+    if onset is None:
+        assert exact_pt_factor(*_row(family, t_max)) < 0
+        return
+    assert 0.0 < onset <= t_max
+    assert exact_pt_factor(*_row(family, onset)) >= 0
+    before = onset - 1e-9 * max(1.0, onset)
+    if before > 0.0:
+        assert exact_pt_factor(*_row(family, before)) < 0
 
 
 def _count_probes(monkeypatch):
@@ -710,17 +699,9 @@ def test_scan_margins_have_the_exact_sign():
 
 def _bisect_onset(is_eb, t_max):
     # eb_onset's bisection, with the probes of `is_eb`
-    times = np.linspace(0.0, t_max, 1000).tolist()
-    if not is_eb(times[-1]):
+    lo, hi = 0.0, float(t_max)
+    if not is_eb(hi):
         return None
-    below, hit = 0, len(times) - 1
-    while hit - below > 1:
-        mid = (below + hit) // 2
-        if is_eb(times[mid]):
-            hit = mid
-        else:
-            below = mid
-    lo, hi = times[hit - 1], times[hit]
     while hi - lo > 1e-9 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if is_eb(mid):
