@@ -16,10 +16,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import QubitChannelAffine, _choi, _choi_min
+from .channel import QubitChannelAffine, _choi_min, choi
 from .ebtest import _is_eb, uniaxial_eb_condition
 from .errors import InvalidParameter, NegativeTime
-from .linalg import _elementwise, hermitian_eigenvalues, partial_transpose
+from .linalg import _elementwise
+from .tolerances import CP_TOL
 
 __all__ = [
     "Decoherence",
@@ -125,22 +126,6 @@ def _row(rates: tuple[float, ...], t: float) -> tuple[float, float, float, float
     return e2 * math.cos(angle), e2 * math.sin(angle), e1, w * (1.0 - e1)
 
 
-def _params(
-    family: DynamicalFamily, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Translations (k, 3) and contractions (k, 3, 3) at the k `times`."""
-    rates = _rates(family)
-    ns, ms = [], []
-    for t in times.tolist():
-        c, s, e1, n3 = _row(rates, t)
-        ns += (0.0, 0.0, n3)
-        ms += (c, s, 0.0, -s, c, 0.0, 0.0, 0.0, e1)
-    return (
-        np.fromiter(ns, float, len(ns)).reshape(-1, 3),
-        np.fromiter(ms, float, len(ms)).reshape(-1, 3, 3),
-    )
-
-
 def channel_at(family: DynamicalFamily, t: float) -> QubitChannelAffine:
     """The family's channel at time t (identity at t = 0)."""
     if t < 0.0:
@@ -160,11 +145,7 @@ def _family_factor(c, s, e1, n3):
     the partial transpose has eigenvalues (1 - e1 -+ b) / 4 and
     (1 + e1 -+ |n3|) / 4.  As 0 <= e1 <= 1 the smallest is
     (1 - e1 - b) / 4 = g / (4 (1 - e1 + b)), so g has the sign of the
-    exact margin.
-
-    Numpy rounds each operation on a column as Python rounds it on a
-    float, so a column of factors holds the bits of the probes'.  The
-    constants are ints, so on `Fraction`s of a float row g is exact.
+    exact margin.  The constants are ints: on `Fraction`s g is exact.
     """
     d = 1 - e1
     return d * d - (4 * (c * c + s * s) + n3 * n3)
@@ -308,16 +289,50 @@ class TimeScan:
     columns: dict[str, np.ndarray] = field(repr=False)
 
 
+def _two_prod(a, b):
+    # p + e = a b exactly unless a b underflows (Dekker, Numer. Math. 18,
+    # 224 (1971)); with |a|, |b| <= 2^53 the split by 2^27 + 1 cannot overflow
+    p, x, y = a * b, a * 134217729.0, b * 134217729.0
+    ah, bh = x - (x - a), y - (y - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _margins(c, s, e1, n3, r):
+    """PT and Choi minima (1 -+ e1 - b) / 4 of `_row` columns, r = |c + i s|.
+
+    The PT minimum is g / (4 (d + b)), d = 1 - e1, or else (d - 2 r) / 4
+    where d = 0 (so n3 = 0), as c^2 + s^2 can underflow; g = 0 is -4 r^2
+    underflowed, so -0 if r > 0.  g sums five exact products and their
+    errors on the row times 2^53, where no product that moves a margin
+    underflows, d^2 - n3^2 first (exact at w = 1), by Sum2 (Ogita, Rump,
+    Oishi, SIAM J. Sci. Comput. 26, 1955 (2005)).  With u = 2^-53 and S =
+    d^2 + n3^2 + 4 (c^2 + s^2) <= 6, g is off by < u |g| + 24 u^2 S; b, d +
+    b and the quotient add <= 4u.  300k random rows were within 2.8 ulps.
+    """
+    d = 1.0 - e1
+    dl = (1.0 - d) - e1  # d + dl = 1 - e1 exactly, as 0 <= e1 <= 1
+    d, dl, c, s, n3 = (x * 2.0**53 for x in (d, dl, c, s, n3))  # exact
+    (dd, dde), (nn, nne), (dx, dxe) = _two_prod(d, d), _two_prod(n3, n3), _two_prod(d, dl)
+    (cc, cce), (ss, sse) = _two_prod(c, c), _two_prod(s, s)
+    g, low = dd, ((dde - nne) + 2.0 * dxe) + (dl * dl - 4.0 * (cce + sse))
+    for x in (-nn, 2.0 * dx, -4.0 * cc, -4.0 * ss):  # Knuth's TwoSum
+        z = (total := g + x) - g
+        g, low = total, low + ((g - (total - z)) + (x - z))
+    g = np.where(g + low == 0.0, np.where(r > 0.0, -0.0, 0.0), g + low)
+    b = np.sqrt(4.0 * (cc + ss) + nn)
+    margins = np.divide(g, 2.0**55 * (d + b), out=(d - 2.0 * r) / 4.0, where=d > 0.0)
+    return margins, (1.0 + e1 - b / 2.0**53) / 4.0
+
+
 def scan(
     family: DynamicalFamily, t_min: float, t_max: float, steps: int
 ) -> TimeScan:
     """Sample the family on a uniform grid of `steps` times.
 
-    Each row's CP gate and margin are read off 2x2 blocks of its Choi
-    matrix, with the bits of a 4x4 eigensolve, and lam1..lam3 are its
-    singular values off its `_row`: |c + i s| twice and e1, no LAPACK
-    call.  Homogenization scans additionally carry the f1/f2/f
-    diagnostics and the closed-form verdict column cf_eb.
+    Margins and CP gates are closed forms of the rows (`_margins`), and
+    lam1..lam3 are |c + i s| twice and e1.  Homogenization scans also carry
+    the f1/f2/f diagnostics and the closed-form verdict column cf_eb.
     """
     if steps < 2:
         raise InvalidParameter(f"steps must be at least 2, got {steps}")
@@ -331,33 +346,28 @@ def scan(
         times = np.linspace(t_min, t_max, steps)
     except (MemoryError, ValueError) as exc:  # beyond numpy's memory or index range
         raise InvalidParameter(f"steps = {steps} is too large: {exc}") from exc
-    n, m = _params(family, times)
-    choi_matrix = _choi(n, m)
-    # the rows are X-states (`_family_factor`).  The Choi diagonal at 0 and
-    # 3, (1 - e1 -+ n3) / 4, is at worst an ulp below 0, as |n3| =
-    # fl(w fl(1 - e1)) <= fl(1 - e1), so the block at 1 and 2 is the CP
-    # gate.  Jacobi rotates a PT row only at pivot (0, 3), as it rotates
-    # that block, and leaves the diagonal at 1 and 2: their minimum has the
-    # 4x4 sweep's bits
-    _choi_min(choi_matrix[:, 1:3, 1:3])
-    pt = partial_transpose(choi_matrix, 2, 2)
-    low = hermitian_eigenvalues(pt[:, ::3, ::3])[:, 0]
-    margins = np.minimum(low, np.minimum(pt[:, 1, 1].real, pt[:, 2, 2].real))
+    rates = _rates(family)
+    c, s, e1, n3 = np.array([_row(rates, t) for t in times.tolist()]).T
     # (r, r, e1) sorted descending, r by math.hypot (numpy's can miss a bit)
-    r = np.fromiter(map(math.hypot, m[:, 0, 0].tolist(), m[:, 0, 1].tolist()), float, steps)
+    r = np.fromiter(map(math.hypot, c.tolist(), s.tolist()), float, steps)
+    margins, choi_min = _margins(c, s, e1, n3, r)
+    # the Choi diagonal at 0 and 3, (1 - e1 -+ n3) / 4, is >= -ulp (|n3| <= fl(1 - e1)), and
+    # Jacobi on the block at 1 and 2 is within a few eps of choi_min: sweep rows that may fail
+    for t in times[choi_min < -CP_TOL + 1e-12].tolist():
+        _choi_min(choi(channel_at(family, t))[1:3, 1:3])
     columns = {
         "t": times,
-        "lam1": np.maximum(r, m[:, 2, 2]),
+        "lam1": np.maximum(r, e1),
         "lam2": r,
-        "lam3": np.minimum(r, m[:, 2, 2]),
+        "lam3": np.minimum(r, e1),
         "margin": margins,
         "is_eb": _is_eb(margins),
     }
     if isinstance(family, Homogenization):
-        _, T2, w, _ = _rates(family)
+        _, T2, w, _ = rates
         with np.errstate(over="ignore"):  # -t / T2 overflows to -inf, as in Python floats
             e2 = _elementwise(math.exp, -times / T2)
-        columns.update(_homogenization(m[:, 2, 2], e2, w))
+        columns.update(_homogenization(e1, e2, w))
     return TimeScan(family, columns)
 
 

@@ -133,13 +133,14 @@ def random_unitary_sample(rng: np.random.Generator):
 
 
 def exact_pt_factor(n: np.ndarray, m: np.ndarray) -> Fraction:
-    """The factor g of `markov._family_factor` for one `_params` row, in exact arithmetic.
+    """The factor g of `markov._family_factor` for one family channel, in exact arithmetic.
 
-    g = (1 - e1)^2 - 4 (c^2 + s^2) - n3^2 over the row's floats (c, s,
-    e1, n3) of `markov._row`, which are dyadic rationals.  The row's
-    partially transposed Choi matrix is an X-state, and g has the sign
-    of its exact smallest eigenvalue: the margin that `scan` reads off
-    2x2 blocks and that `eb_onset` probes.
+    n and M are those of `channel_at`, whose floats (c, s, e1, n3) are the
+    row of `markov._row`, dyadic rationals.  g = (1 - e1)^2 - 4 (c^2 + s^2)
+    - n3^2 over them.  The row's partially transposed Choi matrix is an
+    X-state, and g has the sign of its exact smallest eigenvalue
+    (1 - e1 - b) / 4 = g / (4 (1 - e1 + b)): the margin that `scan`
+    computes from g in closed form and that `eb_onset` probes.
     """
     c, s, e1, n3 = map(Fraction, (m[0, 0], m[0, 1], m[2, 2], n[2]))
     return (1 - e1) ** 2 - 4 * (c * c + s * s) - n3 * n3

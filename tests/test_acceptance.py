@@ -37,7 +37,7 @@ from ebchannels.amend import REFERENCE_AMENDED_STATE
 from ebchannels.channel import _choi
 from ebchannels.ebtest import _numeric_verdicts
 from ebchannels.linalg import _elementwise, hermitian_eigenvalues, partial_transpose
-from ebchannels.markov import _homogenization, _params
+from ebchannels.markov import _homogenization
 from helpers import random_lambda1_zero_cp
 
 
@@ -189,7 +189,9 @@ def test_criterion_07_homogenization_grid():
         previous = np.ones(len(times), dtype=bool)
         for w in (0.0, 0.3, 0.7, 1.0):
             family = Homogenization(T1=float(ratio), T2=1.0, w=w)
-            _, margins, is_eb = _numeric_verdicts(*_params(family, times))
+            channels = [channel_at(family, t) for t in times.tolist()]
+            n = np.stack([phi.n for phi in channels])
+            _, margins, is_eb = _numeric_verdicts(n, np.stack([phi.M for phi in channels]))
             e1 = _elementwise(math.exp, -times / float(ratio))
             columns = _homogenization(e1, _elementwise(math.exp, -times / 1.0), w)
             closed = columns["cf_eb"]

@@ -24,10 +24,10 @@ from ebchannels import (
     scan_to_csv,
     validate_cptp,
 )
-from ebchannels import channel, ebtest, markov
+from ebchannels import channel, ebtest, linalg, markov
 from ebchannels.channel import QubitChannelAffine
 from ebchannels.errors import InvalidParameter, NegativeTime, NotCP
-from ebchannels.linalg import _elementwise, hermitian_eigenvalues, partial_transpose
+from ebchannels.linalg import _elementwise
 from ebchannels.tolerances import CLOSED_FORM_TOL, KNIFE_EDGE_BAND
 from helpers import exact_pt_factor
 
@@ -96,6 +96,13 @@ def _numpy_params(family, times):
     return n, m
 
 
+def _params(family, times):
+    # translations (k, 3) and contractions (k, 3, 3) of the family's
+    # channels at the k times, as `channel_at` builds them from `_row`
+    channels = [channel_at(family, t) for t in times.tolist()]
+    return np.stack([phi.n for phi in channels]), np.stack([phi.M for phi in channels])
+
+
 def _random_grids(rng, count):
     # families on grids of every length the scans use, with time constants
     # scaled down to 1e-300 and grids stretched up to 1e300 now and then
@@ -117,7 +124,7 @@ def test_params_equal_the_numpy_builder_bit_for_bit():
     # up to the sign of zero at M[1, 0], which depolarization now shares
     # with homogenization at omega = 0
     for family, times in _random_grids(np.random.default_rng(71), 200):
-        n, m = markov._params(family, times)
+        n, m = _params(family, times)
         n_ref, m_ref = _numpy_params(family, times)
         assert n.tobytes() == n_ref.tobytes()
         assert (m + 0.0).tobytes() == (m_ref + 0.0).tobytes()
@@ -133,11 +140,16 @@ def test_params_equal_the_numpy_builder_bit_for_bit():
     ],
 )
 def test_params_reject_a_non_finite_angle_as_the_numpy_builder(family, t_max):
+    # the first time of the grid whose angle is not finite, in `channel_at`
+    # and in a scan
     times = np.linspace(0.0, t_max, 16)
     with pytest.raises(InvalidParameter) as expected:
         _numpy_params(family, times)
     with pytest.raises(InvalidParameter) as excinfo:
-        markov._params(family, times)
+        _params(family, times)
+    assert str(excinfo.value) == str(expected.value)
+    with pytest.raises(InvalidParameter) as excinfo:
+        scan(family, 0.0, t_max, 16)
     assert str(excinfo.value) == str(expected.value)
 
 
@@ -151,7 +163,7 @@ def test_decoherence_and_depolarization_params_are_homogenizations():
     for family, times in _random_grids(np.random.default_rng(72), 100):
         if not isinstance(family, Homogenization):
             twin = _as_homogenization(family)
-            for one, other in zip(markov._params(family, times), markov._params(twin, times)):
+            for one, other in zip(_params(family, times), _params(twin, times)):
                 assert one.tobytes() == other.tobytes()
 
 
@@ -564,12 +576,12 @@ def test_eb_onset_decides_in_band_probes_exactly(monkeypatch):
 
 
 def _row(family, t):
-    (n,), (m,) = markov._params(family, np.array([t]))
-    return n, m
+    phi = channel_at(family, t)
+    return phi.n, phi.M
 
 
 def _row_factor(n, m):
-    # g of one `_params` row, in Python floats as `eb_onset`'s probe
+    # g of one family channel's row, in Python floats as `eb_onset`'s probe
     # evaluates it
     (c, s, _), _, (_, _, e1) = m.tolist()
     return markov._family_factor(c, s, e1, n.tolist()[2])
@@ -651,7 +663,7 @@ def test_family_factor_of_fractions_is_the_exact_factor():
     # independent exact factor; w = 1 and underflowing e2 give exact zeros
     zeros = 0
     for family, times in _random_grids(np.random.default_rng(74), 12):
-        n, m = markov._params(family, times)
+        n, m = _params(family, times)
         rates = markov._rates(family)
         for t, row_n, row_m in zip(times.tolist(), n, m):
             g = markov._family_factor(*map(Fraction, markov._row(rates, t)))
@@ -664,7 +676,7 @@ def test_family_factor_columns_equal_the_probe_values():
     # numpy rounds the columns as Python rounds the probe's floats, so a
     # column of g holds the bits of the per-row values
     for family, times in _random_grids(np.random.default_rng(73), 200):
-        n, m = markov._params(family, times)
+        n, m = _params(family, times)
         column = markov._family_factor(m[:, 0, 0], m[:, 0, 1], m[:, 2, 2], n[:, 2])
         rows = np.array([_row_factor(row_n, row_m) for row_n, row_m in zip(n, m)])
         assert column.tobytes() == rows.tobytes()
@@ -691,10 +703,64 @@ def test_scan_margins_have_the_exact_sign():
     # the verdict tolerance; `eb_onset` reports none for such a family
     for family, T in _exact_sign_families(np.random.default_rng(31), 30):
         columns = scan(family, 0.0, 740.0 * T, 300).columns
-        n, m = markov._params(family, columns["t"])
+        n, m = _params(family, columns["t"])
         for row_n, row_m, margin in zip(n, m, columns["margin"].tolist()):
             g = exact_pt_factor(row_n, row_m)
             assert np.sign(margin) == (g > 0) - (g < 0)
+
+
+def _exact_margin(c, s, e1, n3):
+    # (1 - e1 - b) / 4 of one float row, as g / (4 (1 - e1 + b)) with g
+    # exact: an mpf's exponent is unbounded, so at 2400 bits every product
+    # and sum here is exact, down to squares of 2^-1074.  1 - e1 - b itself
+    # would cancel past 400 bits where e1 or c^2 + s^2 is tiny
+    with mpmath.workprec(2400):
+        c, s, e1, n3 = map(mpmath.mpf, (c, s, e1, n3))
+        squares = 4 * (c * c + s * s) + n3 * n3
+        d = 1 - e1
+        g = d * d - squares
+    with mpmath.workprec(400):
+        b = mpmath.sqrt(squares)
+        return -b / 4 if d == 0 else g / (4 * (d + b))
+
+
+def _accuracy_scans(rng):
+    # random grids; scans to 740 T, where decoherence rows have d = 0 and
+    # margins down to subnormals, and w = 1 rows cancel d^2 - n3^2 exactly;
+    # 41 rows within 1e-6 of each onset, where g cancels
+    for family, times in _random_grids(rng, 25):
+        if len(times) > 1:
+            yield family, 0.0, float(times[-1]), len(times)
+    for family, T in _exact_sign_families(rng, 12):
+        yield family, 0.0, 740.0 * T, 300
+        onset = eb_onset(family, 100.0 * T)
+        if onset is not None:
+            yield family, max(0.0, onset - 1e-6), onset + 1e-6, 41
+        if isinstance(family, Homogenization):
+            yield Homogenization(family.T1, family.T2, 1.0, family.omega), 0.0, 740.0 * T, 300
+
+
+def test_scan_margins_are_within_3_ulps_of_the_exact_margins():
+    # every margin against the exact (1 - e1 - b) / 4 of its float row.  A
+    # margin whose exact value rounds to 0 carries its sign: an exact value
+    # in (-2.5e-324, 0) is published as -0 (the Jacobi margins read 0), an
+    # exact 0 as 0
+    rows = 0
+    for family, t_min, t_max, steps in _accuracy_scans(np.random.default_rng(76)):
+        try:
+            columns = scan(family, t_min, t_max, steps).columns
+        except NotCP:
+            continue
+        rates = markov._rates(family)
+        for t, margin in zip(columns["t"].tolist(), columns["margin"].tolist()):
+            exact = _exact_margin(*markov._row(rates, t))
+            assert abs(mpmath.mpf(margin) - exact) <= 3 * math.ulp(float(exact))
+            if margin == 0.0:
+                assert math.copysign(1.0, margin) == (-1.0 if exact < 0 else 1.0)
+            else:
+                assert np.sign(margin) == mpmath.sign(exact)
+            rows += 1
+    assert rows > 20000
 
 
 def _bisect_onset(is_eb, t_max):
@@ -781,7 +847,7 @@ def test_eb_onset_calls_no_eigensolver_and_builds_no_channel(family, t_max):
         raise AssertionError("eigensolve or channel under eb_onset")
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (markov, ebtest):
+        for module in (linalg, channel, ebtest):
             patch.setattr(module, "hermitian_eigenvalues", refuse)
         patch.setattr(markov, "channel_at", refuse)
         patch.setattr(markov, "QubitChannelAffine", refuse)
@@ -883,8 +949,8 @@ def _scan_lam_grids():
 
 
 def test_scan_lam_is_correctly_rounded():
-    # each row's lam1..lam3 are (|c + i s|, |c + i s|, e1) of its `_params`
-    # row sorted descending, each within half an ulp of the exact value.  A
+    # each row's lam1..lam3 are (|c + i s|, |c + i s|, e1) of its row
+    # sorted descending, each within half an ulp of the exact value.  A
     # subnormal |c + i s| is rounded twice, as math.hypot scales subnormal
     # inputs up by 2^1022 and the result back down, so it may miss by a
     # part in 2^53 of its value more
@@ -892,7 +958,7 @@ def test_scan_lam_is_correctly_rounded():
     with mpmath.workprec(200):
         for family, times, columns in _scan_lam_grids():
             lam = np.stack([columns["lam1"], columns["lam2"], columns["lam3"]], axis=1)
-            _, m = markov._params(family, times)
+            _, m = _params(family, times)
             expected = []
             for c, s, e1 in zip(m[:, 0, 0].tolist(), m[:, 0, 1].tolist(), m[:, 2, 2].tolist()):
                 r = math.hypot(c, s)
@@ -923,42 +989,6 @@ def test_scan_calls_no_lapack(monkeypatch):
         scan(Homogenization(0.1, 0.5, 0.5), 0.0, 1.0, 301)
 
 
-def _counting_eigensolves(monkeypatch, module):
-    # the shape of the stack each call of `module.hermitian_eigenvalues` is
-    # handed
-    shapes = []
-
-    def counting(matrix):
-        shapes.append(np.shape(matrix))
-        return hermitian_eigenvalues(matrix)
-
-    monkeypatch.setattr(module, "hermitian_eigenvalues", counting)
-    return shapes
-
-
-@pytest.mark.parametrize(
-    "family, t_max",
-    [
-        *((family, 6.0) for family in FAMILIES),
-        # T2 = 2 T1 at w = 1: the smallest Choi eigenvalue is 0 in exact
-        # arithmetic at every time
-        (Homogenization(T1=1.0, T2=2.0, w=1.0, omega=0.7), 6.0),
-        (Homogenization(T1=1.0, T2=2.0, w=1.0), 800.0),
-        (Homogenization(T1=0.7, T2=0.5, w=0.0), 60.0),
-    ],
-)
-def test_cp_scan_eigensolves_only_the_pt_stack(monkeypatch, family, t_max):
-    # the CP gate and the margins each sweep one stack of 2x2 blocks, and
-    # no 4x4 matrix is eigensolved
-    gate = _counting_eigensolves(monkeypatch, channel)
-    margins = _counting_eigensolves(monkeypatch, markov)
-    verdicts = _counting_eigensolves(monkeypatch, ebtest)
-    scan(family, 0.0, t_max, 301)
-    assert gate == [(301, 2, 2)]
-    assert margins == [(301, 2, 2)]
-    assert verdicts == []
-
-
 # T2 just past 2 T1: not CP at every time for w = 1, CP at most times below
 _edge_homogenizations = st.builds(
     lambda T1, w, omega: Homogenization(T1, 2.0 * T1 * (1.0 + 1e-7), w, omega),
@@ -972,7 +1002,7 @@ def _whole_grid_gate(family, times):
     # the CP gate on every row's whole 4x4 Choi matrix: the NotCP it
     # raises, or None
     try:
-        channel._choi_min(channel._choi(*markov._params(family, times)))
+        channel._choi_min(channel._choi(*_params(family, times)))
     except NotCP as exc:
         return exc
     return None
@@ -1015,27 +1045,40 @@ def _block_grids(rng, count):
             yield family, t_max, steps
 
 
-def test_scan_blocks_keep_the_bits_of_the_4x4_sweeps():
-    # the margins are the smallest eigenvalues of the rows' 4x4 PT-Choi
-    # matrices bit for bit, and the 2x2 CP gate raises the 4x4 gate's NotCP.
-    # The Choi minima themselves may differ in the sign of zero: the 4x4
-    # sweep can return 0.0 where the block returns -0.0
-    grids = _block_grids(np.random.default_rng(74), 300)
-    # CP on this grid, but at rows near t = 5.4 the low eigenvalue of the
-    # PT block is an ulp above the PT diagonal, which is the margin
-    edge = Homogenization(0.11910744920400929, 0.2604894439420786, 0.04531821184396578)
-    for family, t_max, steps in [(edge, 18.131128390980745, 200), *grids]:
-        times = np.linspace(0.0, t_max, steps)
-        expected = _whole_grid_gate(family, times)
+def test_cp_scan_calls_no_eigensolver():
+    # the CP gate and the margins are closed forms: a scan the whole-grid
+    # gate passes sweeps no matrix, and one it fails raises its NotCP
+    named = [
+        *((family, 6.0, 301) for family in FAMILIES),
+        # T2 = 2 T1 at w = 1: the smallest Choi eigenvalue is 0 in exact
+        # arithmetic at every time
+        (Homogenization(T1=1.0, T2=2.0, w=1.0, omega=0.7), 6.0, 301),
+        (Homogenization(T1=1.0, T2=2.0, w=1.0), 800.0, 301),
+        (Homogenization(T1=0.7, T2=0.5, w=0.0), 60.0, 301),
+        # CP, and near t = 5.4 the PT diagonal is an ulp below the low
+        # eigenvalue of the PT block at 0 and 3
+        (Homogenization(0.11910744920400929, 0.2604894439420786, 0.04531821184396578),
+         18.131128390980745, 200),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve under a CP scan")
+
+    cp = 0
+    for family, t_max, steps in [*named, *_block_grids(np.random.default_rng(74), 300)]:
+        expected = _whole_grid_gate(family, np.linspace(0.0, t_max, steps))
         if expected is not None:
             with pytest.raises(NotCP) as excinfo:
                 scan(family, 0.0, t_max, steps)
             assert str(excinfo.value) == str(expected)
             assert excinfo.value.min_eig == expected.min_eig
             continue
-        pt = partial_transpose(channel._choi(*markov._params(family, times)), 2, 2)
-        margins = scan(family, 0.0, t_max, steps).columns["margin"]
-        assert margins.tobytes() == hermitian_eigenvalues(pt)[:, 0].tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (linalg, channel, ebtest):
+                patch.setattr(module, "hermitian_eigenvalues", refuse)
+            scan(family, 0.0, t_max, steps)
+        cp += 1
+    assert cp > 600
 
 
 def test_scan_not_cp_carries_first_bad_row():
