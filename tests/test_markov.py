@@ -1045,27 +1045,43 @@ def _block_grids(rng, count):
             yield family, t_max, steps
 
 
-def test_cp_scan_calls_no_eigensolver():
-    # the CP gate and the margins are closed forms: a scan the whole-grid
-    # gate passes sweeps no matrix, and one it fails raises its NotCP
-    named = [
-        *((family, 6.0, 301) for family in FAMILIES),
-        # T2 = 2 T1 at w = 1: the smallest Choi eigenvalue is 0 in exact
-        # arithmetic at every time
-        (Homogenization(T1=1.0, T2=2.0, w=1.0, omega=0.7), 6.0, 301),
-        (Homogenization(T1=1.0, T2=2.0, w=1.0), 800.0, 301),
-        (Homogenization(T1=0.7, T2=0.5, w=0.0), 60.0, 301),
-        # CP, and near t = 5.4 the PT diagonal is an ulp below the low
-        # eigenvalue of the PT block at 0 and 3
-        (Homogenization(0.11910744920400929, 0.2604894439420786, 0.04531821184396578),
-         18.131128390980745, 200),
-    ]
-
+def _refuse_eigensolves(patch):
+    # every module a scan could reach `hermitian_eigenvalues` through
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve under a CP scan")
 
+    for module in (linalg, channel, ebtest):
+        patch.setattr(module, "hermitian_eigenvalues", refuse)
+
+
+@pytest.mark.parametrize(
+    "family, t_max",
+    [
+        *((family, 6.0) for family in FAMILIES),
+        # T2 = 2 T1 at w = 1: the smallest Choi eigenvalue is 0 in exact
+        # arithmetic at every time
+        (Homogenization(T1=1.0, T2=2.0, w=1.0, omega=0.7), 6.0),
+        (Homogenization(T1=1.0, T2=2.0, w=1.0), 800.0),
+        (Homogenization(T1=0.7, T2=0.5, w=0.0), 60.0),
+    ],
+)
+def test_cp_scan_eigensolves_only_the_pt_stack(monkeypatch, family, t_max):
+    # the minima of the PT stack, the margins, and of the Choi stack, the
+    # CP gate, are read off their closed forms: a CP scan hands no
+    # eigensolver a matrix
+    _refuse_eigensolves(monkeypatch)
+    scan(family, 0.0, t_max, 301)
+
+
+def test_scan_blocks_keep_the_bits_of_the_4x4_sweeps():
+    # a grid the whole-grid 4x4 gate fails raises that gate's NotCP, text
+    # and min_eig bit for bit; one it passes scans with no eigensolver
+    grids = _block_grids(np.random.default_rng(74), 300)
+    # CP, and near t = 5.4 the PT diagonal is an ulp below the low
+    # eigenvalue of the PT block at 0 and 3
+    edge = Homogenization(0.11910744920400929, 0.2604894439420786, 0.04531821184396578)
     cp = 0
-    for family, t_max, steps in [*named, *_block_grids(np.random.default_rng(74), 300)]:
+    for family, t_max, steps in [(edge, 18.131128390980745, 200), *grids]:
         expected = _whole_grid_gate(family, np.linspace(0.0, t_max, steps))
         if expected is not None:
             with pytest.raises(NotCP) as excinfo:
@@ -1074,8 +1090,7 @@ def test_cp_scan_calls_no_eigensolver():
             assert excinfo.value.min_eig == expected.min_eig
             continue
         with pytest.MonkeyPatch.context() as patch:
-            for module in (linalg, channel, ebtest):
-                patch.setattr(module, "hermitian_eigenvalues", refuse)
+            _refuse_eigensolves(patch)
             scan(family, 0.0, t_max, steps)
         cp += 1
     assert cp > 600
