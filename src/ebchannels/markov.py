@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -111,19 +110,38 @@ def _rates(family: DynamicalFamily) -> tuple[float, float, float, float]:
     raise TypeError(f"unknown dynamical family {family!r}")
 
 
-def _row(rates: tuple[float, ...], t: float) -> tuple[float, float, float, float]:
-    """(c, s, e1, n3) of the family with these `_rates` at time t.
+def _row(rates: tuple[float, ...], t: float | np.ndarray) -> tuple:
+    """(c, s, e1, n3) of the family with these `_rates` at time t, a float or a column.
 
-    Its channel is n = (0, 0, n3), M = [[c, s, 0], [-s, c, 0], [0, 0, e1]],
-    in Python floats: numpy's exp, cos and sin can differ from math's in
-    the last bit, which would change published digits.
+    Its channel is n = (0, 0, n3), M = [[c, s, 0], [-s, c, 0], [0, 0, e1]].
+    exp, cos and sin are math's, on a column through `_elementwise`:
+    numpy's can differ from them in the last bit, which would change
+    published digits.  numpy rounds + - * / on a column as Python does on
+    a float, so a column's rows are the float rows bit for bit, and it
+    raises for its first time whose angle is not finite, as the float
+    rows would in time order.
     """
     T1, T2, w, omega = rates
+    if isinstance(t, np.ndarray):
+        # -t / T may overflow to -inf and inf * 0 is nan, quietly as on floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            angle, x1, x2 = omega * t, -t / T1, -t / T2
+        bad = np.flatnonzero(~np.isfinite(angle))
+        if len(bad):
+            raise _angle_error(float(angle[bad[0]]))
+        e1 = _elementwise(math.exp, x1)
+        e2 = e1 if T2 == T1 else _elementwise(math.exp, x2)  # depolarization: T1 = T2
+        cos, sin = _elementwise(math.cos, angle), _elementwise(math.sin, angle)
+        return e2 * cos, e2 * sin, e1, w * (1.0 - e1)
     angle = omega * t
     if not math.isfinite(angle):
-        raise InvalidParameter(f"rotation angle omega * t = {angle} is not finite")
+        raise _angle_error(angle)
     e1, e2 = math.exp(-t / T1), math.exp(-t / T2)
     return e2 * math.cos(angle), e2 * math.sin(angle), e1, w * (1.0 - e1)
+
+
+def _angle_error(angle: float) -> InvalidParameter:
+    return InvalidParameter(f"rotation angle omega * t = {angle} is not finite")
 
 
 def channel_at(family: DynamicalFamily, t: float) -> QubitChannelAffine:
@@ -330,9 +348,11 @@ def scan(
 ) -> TimeScan:
     """Sample the family on a uniform grid of `steps` times.
 
-    Margins and CP gates are closed forms of the rows (`_margins`), and
-    lam1..lam3 are |c + i s| twice and e1.  Homogenization scans also carry
-    the f1/f2/f diagnostics and the closed-form verdict column cf_eb.
+    One `_row` call on the column of times builds the rows (c, s, e1, n3),
+    bit for bit the rows `channel_at` and `eb_onset` build one time at a
+    time.  Margins and CP gates are closed forms of the rows (`_margins`),
+    and lam1..lam3 are |c + i s| twice and e1.  Homogenization scans also
+    carry the f1/f2/f diagnostics and the closed-form verdict column cf_eb.
     """
     if steps < 2:
         raise InvalidParameter(f"steps must be at least 2, got {steps}")
@@ -347,7 +367,7 @@ def scan(
     except (MemoryError, ValueError) as exc:  # beyond numpy's memory or index range
         raise InvalidParameter(f"steps = {steps} is too large: {exc}") from exc
     rates = _rates(family)
-    c, s, e1, n3 = np.array([_row(rates, t) for t in times.tolist()]).T
+    c, s, e1, n3 = _row(rates, times)
     # (r, r, e1) sorted descending, r by math.hypot (numpy's can miss a bit)
     r = np.fromiter(map(math.hypot, c.tolist(), s.tolist()), float, steps)
     margins, choi_min = _margins(c, s, e1, n3, r)
@@ -371,15 +391,28 @@ def scan(
     return TimeScan(family, columns)
 
 
+_CSV_BOOLS = np.array(["false", "true"], dtype=object)
+
+
 def scan_to_csv(result: TimeScan) -> str:
-    """Render a scan in the published CSV row format (17 significant digits)."""
+    """Render a scan in the published CSV row format (17 significant digits).
+
+    Each distinct float of the table, told apart by its bits so that -0
+    stays apart from 0, is formatted once and its text indexed back into
+    every cell holding it: lam1..lam3 are copies of r and e1, and f is f1
+    or f2.  "%.17g" % x is format(x, ".17g"), and one joined format string
+    formats them all in one call.
+    """
+    columns = result.columns.values()
+    floats = np.stack([column for column in columns if column.dtype != bool])
+    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+    texts = ("\n".join(["%.17g"] * len(bits)) % tuple(bits.view(float).tolist())).split("\n")
+    float_cells = iter(np.array(texts, dtype=object)[inverse.reshape(floats.shape)])
     cells = [
-        map(("false", "true").__getitem__, column.tolist())
-        if column.dtype == bool
-        else map(format, column.tolist(), repeat(".17g"))
-        for column in result.columns.values()
+        _CSV_BOOLS[column.view(np.uint8)] if column.dtype == bool else next(float_cells)
+        for column in columns
     ]
-    lines = [",".join(result.columns), *map(",".join, zip(*cells))]
+    lines = [",".join(result.columns), *map(",".join, zip(*(cell.tolist() for cell in cells)))]
     return "\n".join(lines) + "\n"
 
 

@@ -153,6 +153,32 @@ def test_params_reject_a_non_finite_angle_as_the_numpy_builder(family, t_max):
     assert str(excinfo.value) == str(expected.value)
 
 
+def test_row_columns_equal_the_float_rows_bit_for_bit():
+    # numpy rounds + - * / as Python does and exp, cos and sin are math's
+    # on each time, so a column's rows are the float rows, signs of zero
+    # included, on grids with T down to 1e-300 and t up to 1e300
+    for family, times in _random_grids(np.random.default_rng(76), 200):
+        rates = markov._rates(family)
+        columns = np.array(markov._row(rates, times))
+        rows = np.array([markov._row(rates, t) for t in times.tolist()])
+        assert columns.tobytes() == rows.T.tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scan_builds_its_rows_in_one_row_call(monkeypatch, family):
+    calls = []
+    row = markov._row
+
+    def counting_row(rates, t):
+        calls.append(t)
+        return row(rates, t)
+
+    monkeypatch.setattr(markov, "_row", counting_row)
+    scan(family, 0.0, 6.0, 301)
+    assert len(calls) == 1
+    assert isinstance(calls[0], np.ndarray) and len(calls[0]) == 301
+
+
 def _as_homogenization(family):
     if isinstance(family, Decoherence):
         return Homogenization(T1=math.inf, T2=family.T, w=0.0, omega=family.omega)
@@ -894,9 +920,50 @@ def _row_wise_csv(result):
 @example(FAMILIES[0], 0.0, 5.0, 301)
 @example(FAMILIES[1], 0.5, 2.5, 2)
 @example(FAMILIES[2], 0.0, 5.0, 301)
+# T1 = T2: lam1 and lam3 swap between r and e1 as they round, and f
+# switches between f1 and f2
+@example(Homogenization(1.0, 1.0, 0.5, 3.0), 0.0, 5.0, 301)
 def test_scan_csv_equals_the_row_wise_writer(family, t_min, width, steps):
     result = scan(family, t_min, t_min + width, steps)
     assert scan_to_csv(result) == _row_wise_csv(result)
+
+
+def test_scan_csv_keeps_signed_zeros_subnormals_and_repeats_apart():
+    # the writer formats each distinct bit pattern once: -0 and 0 within
+    # a column and across columns, subnormals of either sign, and 0.1 in
+    # several rows and columns each keep their own text
+    tiny = 5e-324
+    columns = {
+        "t": np.array([0.0, -0.0, tiny, -tiny, 1e-310, 0.1]),
+        "a": np.array([-0.0, 0.0, 0.1, 0.1, -tiny, 2.2250738585072014e-308]),
+        "flag": np.array([True, False, False, True, True, False]),
+        "b": np.array([0.1, 0.1, -1e-310, -0.0, math.inf, math.nan]),
+    }
+    result = markov.TimeScan(Depolarization(T=1.0), columns)
+    text = scan_to_csv(result)
+    assert text == _row_wise_csv(result)
+    assert text.splitlines() == [
+        "t,a,flag,b",
+        "0,-0,true,0.10000000000000001",
+        "-0,0,false,0.10000000000000001",
+        "4.9406564584124654e-324,0.10000000000000001,false,-9.9999999999999694e-311",
+        "-4.9406564584124654e-324,0.10000000000000001,true,-0",
+        "9.9999999999999694e-311,-4.9406564584124654e-324,true,inf",
+        "0.10000000000000001,2.2250738585072014e-308,false,nan",
+    ]
+
+
+def test_percent_format_equals_format_on_random_bits():
+    # `scan_to_csv` formats with "%.17g" %, the row-wise writer with
+    # format(x, ".17g"): random bit patterns (about 1 in 2048 subnormal,
+    # as many inf or nan), subnormal patterns and the special values
+    rng = np.random.default_rng(77)
+    signs = rng.choice(np.array([0, 1 << 63], dtype=np.uint64), 10**3)
+    subnormals = rng.integers(0, 2**52, 10**3, dtype=np.uint64) | signs
+    bits = np.concatenate([rng.integers(0, 2**64, 10**5, dtype=np.uint64), subnormals])
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf, math.nan]
+    values = bits.view(float).tolist() + special
+    assert ["%.17g" % x for x in values] == [format(x, ".17g") for x in values]
 
 
 @settings(max_examples=150)

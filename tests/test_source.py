@@ -40,6 +40,25 @@ def _squares(tree) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+# math's exp, cos, sin and log on each value fix the published digits of a
+# scan; numpy's vectorized ones can differ from them in the last bit
+_MATH_ONLY = ("exp", "cos", "sin", "log")
+
+
+def _numpy_transcendentals(tree) -> list[tuple[int, str]]:
+    """(line, name) of every numpy exp, cos, sin or log, named or imported."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("np", "numpy") and node.attr in _MATH_ONLY:
+                found.append((node.lineno, f"numpy.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            for alias in node.names:
+                if alias.name in _MATH_ONLY:
+                    found.append((node.lineno, f"numpy.{alias.name}"))
+    return sorted(found)
+
+
 def test_the_square_check_names_each_form():
     source = "\n".join([
         "a = x ** 2",
@@ -73,3 +92,30 @@ def test_source_squares_by_multiplying():
         for line, form in _squares(ast.parse(path.read_text(), str(path)))
     ]
     assert not found, "square by multiplying, x * x:\n" + "\n".join(found)
+
+
+def test_the_transcendental_check_names_each_form():
+    source = "\n".join([
+        "a = np.exp(-t / T)",
+        "b = numpy.cos(x) + np.sin(x)",
+        "from numpy import log",
+        "f = np.exp",
+        "g = math.exp(x) + np.sqrt(x) + np.expm1(x) + _elementwise(math.cos, x)",
+        "h = 'np.exp(x)'",
+    ])
+    assert _numpy_transcendentals(ast.parse(source)) == [
+        (1, "numpy.exp"),
+        (2, "numpy.cos"),
+        (2, "numpy.sin"),
+        (3, "numpy.log"),
+        (4, "numpy.exp"),
+    ]
+
+
+def test_markov_takes_exp_cos_sin_and_log_from_math():
+    path = SRC / "markov.py"
+    found = [
+        f"markov.py:{line}: {name}"
+        for line, name in _numpy_transcendentals(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, "use math's function, through _elementwise on arrays:\n" + "\n".join(found)
