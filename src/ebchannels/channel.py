@@ -42,13 +42,15 @@ __all__ = [
 _I2 = np.eye(2, dtype=complex)
 _PAULI = tuple(basis.pauli_basis().ops)
 
-# sigma_i (x) I and sigma_i (x) sigma_j as real views, so Choi assembly is a
-# real matrix product (BLAS threads a complex one, which can stall for ms).
-# The bytes are the complex product's: with factors 0 and +-1 each part of an
-# entry is one or two exact products summed once; zeros are +0 after `_I4 +`
-_PI = np.stack([kron(p, _I2) for p in _PAULI]).view(float)
-_PP = np.stack([np.stack([kron(a, b) for b in _PAULI]) for a in _PAULI]).view(float)
-_I4 = np.eye(4, dtype=complex).view(float)
+# sigma_i (x) I and sigma_i (x) sigma_j as real views flattened to rows of 32,
+# so Choi assembly is two real matmuls, n @ _PI and M (9 wide) @ _PP (BLAS
+# threads a complex product, which can stall for ms).  Every column has
+# entries 0 and +-1 only, at most two of them nonzero, so each result is one
+# or two exact products summed once: any summation order, fused or not, gives
+# the complex contraction's bytes.  Zeros of either sign are +0 after `_I4 +`
+_PI = np.stack([kron(p, _I2) for p in _PAULI]).view(float).reshape(3, 32)
+_PP = np.stack([kron(a, b) for a in _PAULI for b in _PAULI]).view(float).reshape(9, 32)
+_I4 = np.eye(4, dtype=complex).view(float).reshape(32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,10 +126,10 @@ def singlet_state() -> np.ndarray:
 def _choi(n: np.ndarray, M: np.ndarray) -> np.ndarray:
     # finite parameters near the float range can still overflow the sums
     with np.errstate(over="ignore", invalid="ignore"):
-        out = 0.25 * (_I4 + np.tensordot(n, _PI, axes=1) - np.tensordot(M, _PP, axes=2))
+        out = 0.25 * (_I4 + n @ _PI - M.reshape(*M.shape[:-2], 9) @ _PP)
     if not np.isfinite(out).all():
         raise InvalidParameter("channel parameters overflow the Choi matrix")
-    return out.view(complex)
+    return out.reshape(*out.shape[:-1], 4, 8).view(complex)
 
 
 def _choi_min(choi_matrix: np.ndarray) -> np.ndarray:

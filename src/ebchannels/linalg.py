@@ -35,9 +35,11 @@ _REL_PIVOT_SKIP = 1e-18
 # `test_search_memory_stays_within_a_block` bounds the 1000-trial peak
 STACK_BLOCK = 512
 
-# shortest stack worth the vectorized sweep: it costs ~0.9 ms fixed, the
-# scalar sweep ~0.05 ms per 4x4 PT-Choi matrix, so they cross at 16-20
-_VECTOR_MIN = 16
+# shortest stack worth the vectorized sweep: on dense 4x4 PT-Choi matrices
+# it costs ~1.2-1.3 ms fixed plus ~9 us per matrix, the scalar sweep 50-57 us
+# per matrix (interleaved timeit minimums, 2 CPUs, numpy 2.4), so they cross
+# at 26
+_VECTOR_MIN = 26
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -96,48 +98,61 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 def _jacobi(h: list[list[complex]]) -> np.ndarray:
     # plain nested lists: scalar complex arithmetic beats ndarray indexing
-    # at these sizes
+    # at these sizes.  h must be exactly Hermitian, as the symmetrization
+    # in `hermitian_eigenvalues` leaves it.  A rotation at (p, q) then
+    # computes only columns p and q of each other row i; entries (p, i)
+    # and (q, i) of the row rotation are the conjugates of (i, p) and
+    # (i, q).  CPython's complex * + - commute with conjugation (negation
+    # is exact and rounding symmetric in sign), so the mirror holds the
+    # row rotation's bits, up to the sign of an exact zero, which changes
+    # no nonzero result.  The 2x2 block at (p, q) is rotated as a full
+    # sweep rotates it: columns, then rows.
     n = len(h)
+    pivots = [
+        (p, q, h[p], h[q], [(i, h[i]) for i in range(n) if i != p and i != q])
+        for p in range(n - 1)
+        for q in range(p + 1, n)
+    ]
     for _ in range(MAX_JACOBI_SWEEPS):
         rotated = False
-        for p in range(n - 1):
-            hp = h[p]
-            for q in range(p + 1, n):
-                apq = hp[q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                app = hp[p].real
-                aqq = h[q][q].real
-                if r <= _REL_PIVOT_SKIP * (abs(app) + abs(aqq)):
-                    hp[q] = 0.0
-                    h[q][p] = 0.0
-                    continue
-                # unitary 2x2 rotation annihilating the (p, q) entry
-                alpha = apq / r
-                tau = (aqq - app) / (2.0 * r)
-                t = 1.0 / (abs(tau) + math.hypot(1.0, tau))
-                if tau < 0.0:
-                    t = -t
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                sa = s * alpha
-                sac = s * alpha.conjugate()
-                for i in range(n):
-                    hi = h[i]
-                    aip = hi[p]
-                    aiq = hi[q]
-                    hi[p] = c * aip - sac * aiq
-                    hi[q] = sa * aip + c * aiq
-                hq = h[q]
-                for j in range(n):
-                    apj = hp[j]
-                    aqj = hq[j]
-                    hp[j] = c * apj - sa * aqj
-                    hq[j] = sac * apj + c * aqj
+        for p, q, hp, hq, others in pivots:
+            apq = hp[q]
+            r = abs(apq)
+            if r == 0.0:
+                continue
+            app = hp[p]
+            aqq = hq[q]
+            if r <= _REL_PIVOT_SKIP * (abs(app.real) + abs(aqq.real)):
                 hp[q] = 0.0
                 hq[p] = 0.0
-                rotated = True
+                continue
+            # unitary 2x2 rotation annihilating the (p, q) entry
+            alpha = apq / r
+            tau = (aqq.real - app.real) / (2.0 * r)
+            t = 1.0 / (abs(tau) + math.hypot(1.0, tau))
+            if tau < 0.0:
+                t = -t
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            sa = s * alpha
+            sac = s * alpha.conjugate()
+            for i, hi in others:
+                aip = hi[p]
+                aiq = hi[q]
+                hi[p] = bip = c * aip - sac * aiq
+                hi[q] = biq = sa * aip + c * aiq
+                hp[i] = bip.conjugate()
+                hq[i] = biq.conjugate()
+            aqp = hq[p]
+            bpp = c * app - sac * apq
+            bpq = sa * app + c * apq
+            bqp = c * aqp - sac * aqq
+            bqq = sa * aqp + c * aqq
+            hp[p] = c * bpp - sa * bqp
+            hq[q] = sac * bpq + c * bqq
+            hp[q] = 0.0
+            hq[p] = 0.0
+            rotated = True
         if not rotated:
             return np.sort(np.array([h[i][i].real for i in range(n)]))
     raise _not_converged()
@@ -145,11 +160,12 @@ def _jacobi(h: list[list[complex]]) -> np.ndarray:
 
 def _jacobi_stack(h: np.ndarray) -> np.ndarray:
     # `_jacobi` vectorized over the stack, with the stack index moved last
-    # so every entry (i, j) is one contiguous vector.  Every matrix stays in
-    # every sweep: a sweep that rotates no pivot of a matrix leaves only
-    # zeros above its diagonal (each pivot was zero or was flushed to +0),
-    # so later sweeps neither rotate nor flush it, and its diagonal stays
-    # the one the scalar sweep returns.
+    # so every entry (i, j) is one contiguous vector.  It rotates rows and
+    # columns in full, where `_jacobi` mirrors one triangle: the same bits.
+    # Every matrix stays in every sweep: a sweep that rotates no pivot of a
+    # matrix leaves only zeros above its diagonal (each pivot was zero or
+    # was flushed to +0), so later sweeps neither rotate nor flush it, and
+    # its diagonal stays the one the scalar sweep returns.
     n = h.shape[1]
     h = h.transpose(1, 2, 0).copy()
     for _ in range(MAX_JACOBI_SWEEPS):

@@ -110,34 +110,41 @@ def _rates(family: DynamicalFamily) -> tuple[float, float, float, float]:
     raise TypeError(f"unknown dynamical family {family!r}")
 
 
-def _row(rates: tuple[float, ...], t: float | np.ndarray) -> tuple:
-    """(c, s, e1, n3) of the family with these `_rates` at time t, a float or a column.
+def _row(rates: tuple[float, ...], t: float) -> tuple[float, float, float, float]:
+    """(c, s, e1, n3) of the family with these `_rates` at time t.
 
     Its channel is n = (0, 0, n3), M = [[c, s, 0], [-s, c, 0], [0, 0, e1]].
-    exp, cos and sin are math's, on a column through `_elementwise`:
-    numpy's can differ from them in the last bit, which would change
-    published digits.  numpy rounds + - * / on a column as Python does on
-    a float, so a column's rows are the float rows bit for bit, and it
-    raises for its first time whose angle is not finite, as the float
-    rows would in time order.
+    `_columns` gives the same rows, bit for bit, for a column of times.
     """
     T1, T2, w, omega = rates
-    if isinstance(t, np.ndarray):
-        # -t / T may overflow to -inf and inf * 0 is nan, quietly as on floats
-        with np.errstate(over="ignore", invalid="ignore"):
-            angle, x1, x2 = omega * t, -t / T1, -t / T2
-        bad = np.flatnonzero(~np.isfinite(angle))
-        if len(bad):
-            raise _angle_error(float(angle[bad[0]]))
-        e1 = _elementwise(math.exp, x1)
-        e2 = e1 if T2 == T1 else _elementwise(math.exp, x2)  # depolarization: T1 = T2
-        cos, sin = _elementwise(math.cos, angle), _elementwise(math.sin, angle)
-        return e2 * cos, e2 * sin, e1, w * (1.0 - e1)
     angle = omega * t
     if not math.isfinite(angle):
         raise _angle_error(angle)
     e1, e2 = math.exp(-t / T1), math.exp(-t / T2)
     return e2 * math.cos(angle), e2 * math.sin(angle), e1, w * (1.0 - e1)
+
+
+def _columns(rates: tuple[float, ...], times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The `_row`s (c, s, e1, n3) of a column of times, and e2 = e^{-t/T2} on it.
+
+    exp, cos and sin are math's, on each time through `_elementwise`:
+    numpy's can differ from them in the last bit, which would change
+    published digits.  numpy rounds + - * / on a column as Python does on
+    a float, so the columns' rows are the float rows bit for bit, and it
+    raises for its first time whose angle is not finite, as the float
+    rows would in time order.
+    """
+    T1, T2, w, omega = rates
+    # -t / T may overflow to -inf and inf * 0 is nan, quietly as on floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        angle, x1, x2 = omega * times, -times / T1, -times / T2
+    bad = np.flatnonzero(~np.isfinite(angle))
+    if len(bad):
+        raise _angle_error(float(angle[bad[0]]))
+    e1 = _elementwise(math.exp, x1)
+    e2 = e1 if T2 == T1 else _elementwise(math.exp, x2)  # depolarization: T1 = T2
+    cos, sin = _elementwise(math.cos, angle), _elementwise(math.sin, angle)
+    return e2 * cos, e2 * sin, e1, w * (1.0 - e1), e2
 
 
 def _angle_error(angle: float) -> InvalidParameter:
@@ -317,7 +324,7 @@ def _two_prod(a, b):
 
 
 def _margins(c, s, e1, n3, r):
-    """PT and Choi minima (1 -+ e1 - b) / 4 of `_row` columns, r = |c + i s|.
+    """PT and Choi minima (1 -+ e1 - b) / 4 of `_columns` rows, r = |c + i s|.
 
     The PT minimum is g / (4 (d + b)), d = 1 - e1, or else (d - 2 r) / 4
     where d = 0 (so n3 = 0), as c^2 + s^2 can underflow; g = 0 is -4 r^2
@@ -348,10 +355,11 @@ def scan(
 ) -> TimeScan:
     """Sample the family on a uniform grid of `steps` times.
 
-    One `_row` call on the column of times builds the rows (c, s, e1, n3),
-    bit for bit the rows `channel_at` and `eb_onset` build one time at a
-    time.  Margins and CP gates are closed forms of the rows (`_margins`),
-    and lam1..lam3 are |c + i s| twice and e1.  Homogenization scans also
+    One `_columns` call on the column of times builds the rows (c, s, e1,
+    n3), bit for bit the rows `channel_at` and `eb_onset` build one time
+    at a time, and the e2 column of the homogenization diagnostics.
+    Margins and CP gates are closed forms of the rows (`_margins`), and
+    lam1..lam3 are |c + i s| twice and e1.  Homogenization scans also
     carry the f1/f2/f diagnostics and the closed-form verdict column cf_eb.
     """
     if steps < 2:
@@ -367,7 +375,7 @@ def scan(
     except (MemoryError, ValueError) as exc:  # beyond numpy's memory or index range
         raise InvalidParameter(f"steps = {steps} is too large: {exc}") from exc
     rates = _rates(family)
-    c, s, e1, n3 = _row(rates, times)
+    c, s, e1, n3, e2 = _columns(rates, times)
     # (r, r, e1) sorted descending, r by math.hypot (numpy's can miss a bit)
     r = np.fromiter(map(math.hypot, c.tolist(), s.tolist()), float, steps)
     margins, choi_min = _margins(c, s, e1, n3, r)
@@ -384,10 +392,7 @@ def scan(
         "is_eb": _is_eb(margins),
     }
     if isinstance(family, Homogenization):
-        _, T2, w, _ = rates
-        with np.errstate(over="ignore"):  # -t / T2 overflows to -inf, as in Python floats
-            e2 = _elementwise(math.exp, -times / T2)
-        columns.update(_homogenization(e1, e2, w))
+        columns.update(_homogenization(e1, e2, rates[2]))
     return TimeScan(family, columns)
 
 

@@ -7,6 +7,7 @@ Pauli decomposition instead of the library's singlet-specific assembly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from ebchannels import (
     unitary_channel,
     validate_cptp,
 )
+from ebchannels.linalg import MAX_JACOBI_SWEEPS, _REL_PIVOT_SKIP, _not_converged
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -144,3 +146,56 @@ def exact_pt_factor(n: np.ndarray, m: np.ndarray) -> Fraction:
     """
     c, s, e1, n3 = map(Fraction, (m[0, 0], m[0, 1], m[2, 2], n[2]))
     return (1 - e1) ** 2 - 4 * (c * c + s * s) - n3 * n3
+
+
+# The two-sided scalar Jacobi sweep: every rotation updates both columns
+# and both rows of its pivot.  `linalg._jacobi`, which rotates one triangle
+# and mirrors the other, must return its eigenvalues bit for bit on exactly
+# Hermitian input.
+def reference_jacobi(h: list[list[complex]]) -> np.ndarray:
+    # plain nested lists: scalar complex arithmetic beats ndarray indexing
+    # at these sizes
+    n = len(h)
+    for _ in range(MAX_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            hp = h[p]
+            for q in range(p + 1, n):
+                apq = hp[q]
+                r = abs(apq)
+                if r == 0.0:
+                    continue
+                app = hp[p].real
+                aqq = h[q][q].real
+                if r <= _REL_PIVOT_SKIP * (abs(app) + abs(aqq)):
+                    hp[q] = 0.0
+                    h[q][p] = 0.0
+                    continue
+                # unitary 2x2 rotation annihilating the (p, q) entry
+                alpha = apq / r
+                tau = (aqq - app) / (2.0 * r)
+                t = 1.0 / (abs(tau) + math.hypot(1.0, tau))
+                if tau < 0.0:
+                    t = -t
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                sa = s * alpha
+                sac = s * alpha.conjugate()
+                for i in range(n):
+                    hi = h[i]
+                    aip = hi[p]
+                    aiq = hi[q]
+                    hi[p] = c * aip - sac * aiq
+                    hi[q] = sa * aip + c * aiq
+                hq = h[q]
+                for j in range(n):
+                    apj = hp[j]
+                    aqj = hq[j]
+                    hp[j] = c * apj - sa * aqj
+                    hq[j] = sac * apj + c * aqj
+                hp[q] = 0.0
+                hq[p] = 0.0
+                rotated = True
+        if not rotated:
+            return np.sort(np.array([h[i][i].real for i in range(n)]))
+    raise _not_converged()

@@ -284,6 +284,25 @@ def _choi_complex_tables(n, M):
     return out
 
 
+# real views of the Pauli tables, (3, 4, 8) and (3, 3, 4, 8), and of I
+_REAL_PI = np.stack([np.kron(a, np.eye(2)) for a in PAULI4[1:]]).view(float)
+_REAL_PP = np.stack(
+    [np.stack([np.kron(a, b) for b in PAULI4[1:]]) for a in PAULI4[1:]]
+).view(float)
+_REAL_I4 = np.eye(4, dtype=complex).view(float)
+
+
+def _choi_real_tensordot(n, M):
+    # the Choi contraction as two tensordots over the real-view tables
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 0.25 * (
+            _REAL_I4 + np.tensordot(n, _REAL_PI, axes=1) - np.tensordot(M, _REAL_PP, axes=2)
+        )
+    if not np.isfinite(out).all():
+        raise InvalidParameter("channel parameters overflow the Choi matrix")
+    return out.view(complex)
+
+
 def _scaled_signed_zero_parameters(rng, count, scales):
     n, M = _signed_zero_parameters(rng, count)
     scale = rng.choice(scales, count)
@@ -291,8 +310,8 @@ def _scaled_signed_zero_parameters(rng, count, scales):
 
 
 def test_choi_is_the_complex_table_contraction_bit_for_bit():
-    # scales from subnormal to 1e308, where the sums overflow: both raise
-    # the same error or agree in every byte
+    # scales from subnormal to 1e308, where the sums overflow: `_choi` and
+    # the real-view tensordots raise the same error or agree in every byte
     n, M = _scaled_signed_zero_parameters(
         np.random.default_rng(64), 2000, [1.0, 1e-20, 1e150, 1e300, 1e303]
     )
@@ -301,11 +320,13 @@ def test_choi_is_the_complex_table_contraction_bit_for_bit():
         try:
             want = _choi_complex_tables(one_n, one_m).tobytes()
         except InvalidParameter as exc:
-            with pytest.raises(InvalidParameter, match=str(exc)):
-                _choi(one_n, one_m)
+            for build in (_choi, _choi_real_tensordot):
+                with pytest.raises(InvalidParameter, match=str(exc)):
+                    build(one_n, one_m)
             overflowed += 1
         else:
             assert _choi(one_n, one_m).tobytes() == want
+            assert _choi_real_tensordot(one_n, one_m).tobytes() == want
     assert 0 < overflowed < 2000
 
 
@@ -314,9 +335,12 @@ def test_choi_stack_is_the_complex_table_contraction_bit_for_bit(count):
     n, M = _scaled_signed_zero_parameters(
         np.random.default_rng(65 + count), count, [1.0, 1e-20, 1e150, 1e295]
     )
-    assert _choi(n, M).tobytes() == _choi_complex_tables(n, M).tobytes()
+    got = _choi(n, M)
+    assert got.shape == (count, 4, 4)
+    assert got.tobytes() == _choi_complex_tables(n, M).tobytes()
+    assert got.tobytes() == _choi_real_tensordot(n, M).tobytes()
     M[-1] = 1e308
-    for build in (_choi, _choi_complex_tables):
+    for build in (_choi, _choi_complex_tables, _choi_real_tensordot):
         with pytest.raises(InvalidParameter, match="overflow the Choi matrix"):
             build(n, M)
 

@@ -26,6 +26,8 @@ from ebchannels.linalg import (
     svd3,
 )
 
+from helpers import reference_jacobi
+
 
 def _padded(matrices):
     # the matrices, followed by diagonal ones that converge without a
@@ -347,6 +349,47 @@ def test_both_sweeps_agree_on_signed_zeros(stack_sweeps):
     signs = np.signbit(swept[swept == 0.0])
     assert signs.any() and not signs.all()
     assert _hex(swept) == _hex([linalg._jacobi(m) for m in stack.tolist()])
+
+
+_ORACLE_ENTRIES = np.array(
+    [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 3.0, 1e-320, -1e-320, 2.0**-1074]
+)
+
+
+def _signed_zeros(rng, n):
+    return rng.choice([0.0, -0.0], (n, n)) + 1j * rng.choice([0.0, -0.0], (n, n))
+
+
+def _oracle_corpus(rng, count):
+    # square matrices of sizes 2-6, made exactly Hermitian as
+    # `hermitian_eigenvalues` makes them, (m + m^H) / 2
+    for k in range(count):
+        n = int(rng.integers(2, 7))
+        kind = k % 4
+        if kind == 0:  # exact entries, half of them signed zeros, and subnormals
+            m = rng.choice(_ORACLE_ENTRIES, (n, n)) + 1j * rng.choice(_ORACLE_ENTRIES, (n, n))
+            m = np.where(rng.random((n, n)) < 0.5, _signed_zeros(rng, n), m)
+        elif kind == 1:  # pure-imaginary entries with -0.0 real parts among them
+            m = np.empty((n, n), dtype=complex)
+            m.real = np.where(rng.random((n, n)) < 0.6, -0.0, rng.choice(_ORACLE_ENTRIES, (n, n)))
+            m.imag = rng.choice(_ORACLE_ENTRIES, (n, n))
+        elif kind == 2:  # complex entries scaled across 40 decades
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            m *= 10.0 ** rng.uniform(-35.0, 5.0, (n, n))
+        else:  # real matrices, at one scale within 40 decades
+            m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-35.0, 5.0) + 0j
+        yield (m + m.conj().T) / 2.0
+
+
+def test_one_triangle_sweep_matches_the_full_sweep_bit_for_bit():
+    # the scalar sweep mirrors one triangle by conjugation; the reference
+    # rotates both columns and rows
+    zeros = 0
+    for h in _oracle_corpus(np.random.default_rng(28), 4000):
+        values = linalg._jacobi(h.tolist())
+        assert _hex(values) == _hex(reference_jacobi(h.tolist())), h.tolist()
+        zeros += int((values == 0.0).sum())
+    assert zeros > 100  # exact zero eigenvalues, whose sign the mirror could flip
 
 
 def test_stacked_eigenvalues_reject_bad_input():

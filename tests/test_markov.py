@@ -159,7 +159,7 @@ def test_row_columns_equal_the_float_rows_bit_for_bit():
     # included, on grids with T down to 1e-300 and t up to 1e300
     for family, times in _random_grids(np.random.default_rng(76), 200):
         rates = markov._rates(family)
-        columns = np.array(markov._row(rates, times))
+        columns = np.array(markov._columns(rates, times)[:4])
         rows = np.array([markov._row(rates, t) for t in times.tolist()])
         assert columns.tobytes() == rows.T.tobytes()
 
@@ -167,16 +167,36 @@ def test_row_columns_equal_the_float_rows_bit_for_bit():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_scan_builds_its_rows_in_one_row_call(monkeypatch, family):
     calls = []
-    row = markov._row
+    columns = markov._columns
 
-    def counting_row(rates, t):
+    def counting_columns(rates, t):
         calls.append(t)
-        return row(rates, t)
+        return columns(rates, t)
 
-    monkeypatch.setattr(markov, "_row", counting_row)
+    monkeypatch.setattr(markov, "_columns", counting_columns)
     scan(family, 0.0, 6.0, 301)
     assert len(calls) == 1
     assert isinstance(calls[0], np.ndarray) and len(calls[0]) == 301
+
+
+@pytest.mark.parametrize(
+    "family, per_time",
+    [(Homogenization(T1=1.0, T2=0.6, w=0.4, omega=2.0), 2), (Depolarization(T=1.0), 1)],
+)
+def test_scan_takes_each_exponential_once(monkeypatch, family, per_time):
+    # e1 and e2 for homogenization, its rows and its f-columns alike;
+    # depolarization damps every axis by e1
+    exps = []
+    elementwise = markov._elementwise
+
+    def counting(fn, x):
+        if fn is math.exp:
+            exps.append(np.size(x))
+        return elementwise(fn, x)
+
+    monkeypatch.setattr(markov, "_elementwise", counting)
+    scan(family, 0.0, 6.0, 200)
+    assert sum(exps) == per_time * 200
 
 
 def _as_homogenization(family):
