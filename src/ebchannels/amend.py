@@ -36,6 +36,8 @@ from .channel import (
 from .ebtest import _is_eb, is_eb_numeric
 from .errors import InvalidParameter, NonPositiveOutput
 from .linalg import (
+    _EIG_BACKWARD_C,
+    _EPS,
     STACK_BLOCK,
     _lapack_lowest,
     hermitian_eigenvalues,
@@ -207,6 +209,87 @@ def _best_row(pool: _Pool, floor: float) -> int:
             floor = max(floor, pool.sweep(rows))
 
 
+# a-priori rounding bounds of `_interleavings_tie`: a computed Rodrigues
+# rotation lies within _ROTATION_ERR of an exact one, and a rounded 3x3
+# product AB within _PRODUCT_ERR ||A||_2 ||B||_2 of AB, both in 2-norm
+_ROTATION_ERR = 64.0 * _EPS
+_PRODUCT_ERR = 5.0 * _EPS
+
+
+def _interleavings_tie(base: QubitChannelAffine, n_layers: int) -> bool:
+    """Whether every draw's Jacobi violation is provably within
+    AMEND_TIE_TOL of every other's, so that the tie rule picks trial 0.
+
+    Only a unital base (n exactly 0) can pass.  Let sigma1 >= sigma2 >=
+    sigma3 be the singular values of its M, L = n_layers, and M_c =
+    M Q_1 M ... Q_{L-1} M an exact composite with rotations Q_k in SO(3).
+
+    Exact composites.  A unital channel whose M has singular values s and
+    d = sgn det M has the PT minimum (1 - s1 - s2 - d s3) / 4, so the
+    violation (s1 + s2 + d s3 - 1) / 4.  For M_c, d = sgn(det M)^L is the
+    same for every draw, s1 <= sigma1^L (the 2-norm is submultiplicative)
+    and s3 >= sigma3^L (the smallest singular value is supermultiplicative),
+    so each s_i lies in [sigma3^L, sigma1^L] and every exact violation in
+    one interval of width 3 (sigma1^L - sigma3^L) / 4 <= 3 L hi^(L-1)
+    (hi - lo) / 4, for any hi >= sigma1 and lo <= sigma3.  The same facts
+    give the unital ceiling: Horn's inequality prod_{i<=k} s_i(AB) <=
+    prod_{i<=k} s_i(A) s_i(B) gives prod_{i<=k} s_i <= prod_{i<=k}
+    sigma_i^L, weak log-majorization implies weak majorization, so
+    sum_{i<=k} s_i <= sum_{i<=k} sigma_i^L for k = 1, 2, 3.  With k = 3
+    for d = +1, and k = 2 plus s3 >= sigma3^L for d = -1, the violation is
+    at most (sigma1^L + sigma2^L + sgn(det M)^L sigma3^L - 1) / 4.
+
+    Rounding, with u = eps / 2.  Each term bounds how far one trial's
+    computed violation lies from its exact composite's, so twice their sum
+    bounds what rounding adds to the spread between two trials:
+    - the SVD of M: LAPACK's is backward stable, so by Weyl each computed
+      singular value is within c 3 eps sigma1 of the exact one, with the
+      eigensolver screen's c = _EIG_BACKWARD_C = 64 (measured: 7.8 eps
+      sigma1 on near-isotropic and random 3x3 matrices);
+    - the rotations: the computed R is within rho = _ROTATION_ERR (128 u)
+      in 2-norm of the exact Q about the normalized computed axis by the
+      computed angle.  The axis norm is within 4u of 1, sin and cos within
+      16u each (8 ulps), and the formula's roundings within 60u in
+      Frobenius norm: 116u in all (measured: 10u).  So ||R||_2 <= 1 + rho;
+    - the 2 (L - 1) rounded 3x3 products: |fl(AB) - AB| <= gamma_3 |A||B|
+      entrywise, in any summation order, fused or not, and || |A| ||_2 <=
+      ||A||_F <= sqrt(3) ||A||_2, so fl(AB) is within 3 gamma_3 ||A|| ||B||
+      <= _PRODUCT_ERR (10u) of AB.  By induction over the layers the
+      computed composite is within hi^L ((1 + rho)^(L-1) (1 + 10u)^(2(L-1))
+      - 1) <= hi^L t / (1 - t), t = (L - 1) (rho + 20u), of M_c, and of
+      2-norm at most top = hi^L / (1 - t).  A change E of M moves the
+      PT-Choi matrix by -sum_ij E_ij sigma_i (x) sigma_j^T / 4, of 2-norm at
+      most ||E||_* / 4 <= 3 ||E||_2 / 4, and the violation by as much;
+    - the Choi assembly: n @ _PI is exactly 0, and each real-view entry
+      rounds one sum of two exact products, then its difference from _I4;
+      the scaling by 0.25 is exact.  That is within u (1/2 + 2 top) in
+      Frobenius norm.  The matrix is exactly Hermitian and partial
+      transposition permutes entries, so neither adds anything;
+    - Jacobi: its backward error, at most the `_lapack_lowest` band
+      64 * 4 * eps * ||H||_F, with ||H||_F = (1 + ||M_c||_F^2)^(1/2) / 2 <=
+      1/2 + top plus the assembly error.
+
+    The bound is evaluated in floats with hi rounded up; its other roundings
+    and any underflow move it by far less than the factor 1 + 1e-9 covers.
+    A composite norm above 2, which no CP base has, returns False.
+    """
+    if base.n.any():
+        return False
+    s1, _, s3 = np.linalg.svd(base.M, compute_uv=False)
+    svd_err = _EIG_BACKWARD_C * 3 * _EPS * s1
+    hi = math.nextafter(s1 + svd_err, math.inf)
+    t = (n_layers - 1) * (_ROTATION_ERR + 2.0 * _PRODUCT_ERR)
+    if t >= 0.5 or hi > 2.0 ** (1.0 / n_layers):
+        return False
+    top = hi**n_layers / (1.0 - t)
+    composite_err = 0.75 * top * t
+    choi_err = _EPS * (0.25 + top)
+    jacobi_err = _EIG_BACKWARD_C * 4 * _EPS * (0.5 + top + choi_err)
+    width = 0.75 * n_layers * hi ** (n_layers - 1) * ((s1 - s3) + 2.0 * svd_err)
+    spread = width + 2.0 * (composite_err + choi_err + jacobi_err)
+    return bool(spread * (1.0 + 1e-9) <= AMEND_TIE_TOL)
+
+
 def local_amendment_search(
     base: QubitChannelAffine, n_layers: int, trials: int, seed: int
 ) -> AmendmentReport:
@@ -220,7 +303,10 @@ def local_amendment_search(
     AMEND_TIE_TOL (1e-12) of the largest violation, so the reported one
     is at most AMEND_TIE_TOL below the largest.  Trials that tie to
     rounding, as every interleaving of a depolarizing base does, go to
-    the first of them.
+    the first of them.  When `_interleavings_tie` proves that every draw
+    ties, as it does for depolarizing and identity bases, the search
+    draws, screens and sweeps trial 0 alone and returns it; the report
+    still echoes the requested `trials`.
 
     Every reported number comes from `hermitian_eigenvalues`.  LAPACK
     only screens: its smallest eigenvalue and error band bound each
@@ -242,15 +328,16 @@ def local_amendment_search(
 
     rng = np.random.default_rng(seed)
     layers = n_layers - 1
+    drawn = 1 if _interleavings_tie(base, n_layers) else trials
     # `floor` never exceeds the largest Jacobi violation of the whole
     # search: it is the largest LAPACK lower bound or Jacobi violation so
     # far.  A trial whose upper bound is below floor - tol is never best
     floor = -np.inf
     pool = None
-    for start in range(0, trials, STACK_BLOCK):
+    for start in range(0, drawn, STACK_BLOCK):
         if pool is not None:
             pool, floor = _cut(pool, floor)
-        block = min(STACK_BLOCK, trials - start)
+        block = min(STACK_BLOCK, drawn - start)
         try:
             axes, angles = _sample_unitaries(rng, block * layers)
         except (MemoryError, ValueError) as exc:  # numpy refuses the size

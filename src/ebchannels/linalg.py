@@ -30,9 +30,10 @@ _REL_PIVOT_SKIP = 1e-18
 # 4x4 PT-Choi matrices a block costs ~1.0-1.4 ms fixed plus ~10-11 us per
 # matrix (2 CPUs, numpy 2.4), so the fixed part is about a fifth of a full
 # block.  The amendment search holds about two blocks of trials: 3-layer
-# searches on the tie base depolarizing:1/3 peak at ~2.75 MB for 3000 and
-# 10000 trials, ~10.7 MB at 10000 in blocks of 2048 (tracemalloc), and
-# `test_search_memory_stays_within_a_block` bounds the 1000-trial peak
+# searches on a unital base just outside its tie predicate (singular values
+# 1e-12 apart) peak at ~2.6 MB for 3000 and 10000 trials, ~8.6 MB at 10000
+# in blocks of 2048 (tracemalloc), and `test_search_memory_stays_within_a_block`
+# bounds the 1000-trial peak.  A tie base draws one trial: ~10 kB
 STACK_BLOCK = 512
 
 # shortest stack worth the vectorized sweep: on dense 4x4 PT-Choi matrices

@@ -26,6 +26,7 @@ from ebchannels import (
     pt_margin,
     run_builtin_global_example,
     seb_example_channel,
+    unitary_channel,
 )
 from ebchannels.amend import REFERENCE_AMENDED_STATE
 from ebchannels.channel import _choi, _rotations
@@ -115,7 +116,9 @@ def test_local_search_on_depolarizing_bases_meets_the_unital_ceiling(p, layers):
 def test_local_search_never_exceeds_the_unital_ceiling():
     # any unital CP base, rotated on both sides: no interleaving beats the
     # ceiling (sigma1^L + sigma2^L + sgn(det M)^L sigma3^L - 1) / 4 of its
-    # singular values sigma and the sign of det M
+    # singular values sigma and the sign of det M.  The proof, from Horn's
+    # inequality for products, is in the docstring of
+    # `amend._interleavings_tie`
     rng = np.random.default_rng(23)
     for k in range(240):
         lam = random_unital_cp_lambdas(rng, 1)[0]
@@ -337,18 +340,36 @@ def test_sampler_redraws_tiny_triples_in_the_reference_order():
     assert np.array_equal(axes[1], [5e-13, 1.0, 0.0])
 
 
-def test_search_memory_stays_within_a_block():
-    # the tracemalloc peak of a 3 x 1000 search on a tie base, which
+# a unital base just outside `amend._interleavings_tie` at three layers:
+# its singular values are 1e-12 apart, too far for the predicate, yet its
+# interleavings' violations still tie closely enough that the screen
+# carries every trial of a block
+_NEAR_TIE_BASE = compose(
+    unitary_channel([0.6, 0.0, 0.8], 1.1),
+    compose(diagonal_channel([1.0, 1.0 + 1e-12, 1.0 + 5e-13]), unitary_channel([0.0, 1.0, 0.0], 2.3)),
+)
+
+
+def test_search_memory_stays_within_a_block(monkeypatch):
+    # the tracemalloc peak of a 3 x 1000 search on the near-tie base, which
     # carries every trial of its first block into the second and sweeps
     # one, after a warm-up call (the first call also allocates ~0.8 MB of
     # numpy's first-use state): ~1.1 MB with blocks of 512, against
-    # ~1.5 MB when every trial was swept.  A 3 x 3000 tie search, which
-    # sweeps its carried trials once they outgrow a block, peaks at ~2.8 MB
-    base = depolarizing_channel(1.0 / 3.0)
-    local_amendment_search(base, n_layers=3, trials=1000, seed=7)
+    # ~1.5 MB when every trial was swept
+    assert not amend._interleavings_tie(_NEAR_TIE_BASE, 3)
+    carried = []
+    cut = amend._cut
+
+    def recording(pool, floor):
+        carried.append(len(pool.trial))
+        return cut(pool, floor)
+
+    monkeypatch.setattr(amend, "_cut", recording)
+    local_amendment_search(_NEAR_TIE_BASE, n_layers=3, trials=1000, seed=7)
+    assert carried == [STACK_BLOCK]
     tracemalloc.start()
     try:
-        local_amendment_search(base, n_layers=3, trials=1000, seed=7)
+        local_amendment_search(_NEAR_TIE_BASE, n_layers=3, trials=1000, seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -428,6 +449,7 @@ def _assert_matches_unfiltered(base, n_layers, trial_counts, seed, no_ties=False
         assert float(violation).hex() == report.best_margin.hex()
         assert float(-violation).hex() == report.best_pt_min_eig.hex()
         assert report.amended == bool(report.base_is_eb and violation > EB_BOUNDARY_TOL)
+    return all_violations
 
 
 _NAMED_BASES = {
@@ -539,6 +561,19 @@ def _jacobi_rows(monkeypatch):
     return rows
 
 
+def _drawn_rotations(monkeypatch):
+    # the rotation counts of each `_sample_unitaries` call
+    counts = []
+    sample = amend._sample_unitaries
+
+    def counting(rng, count):
+        counts.append(count)
+        return sample(rng, count)
+
+    monkeypatch.setattr(amend, "_sample_unitaries", counting)
+    return counts
+
+
 def test_readme_search_sweeps_few_trials(monkeypatch):
     rows = _jacobi_rows(monkeypatch)
     report = local_amendment_search(seb_example_channel(), n_layers=3, trials=1000, seed=7)
@@ -556,11 +591,13 @@ _TIE_BASES = {
 @pytest.mark.parametrize("n_layers", [2, 3, 4])
 @pytest.mark.parametrize("name", sorted(_TIE_BASES))
 def test_tie_base_search_sweeps_one_trial(monkeypatch, name, n_layers):
-    # every interleaving of these bases has the same spectrum, so the
-    # LAPACK bounds alone put trial 0 within the tie tolerance of the best
+    # every interleaving of these bases has the same spectrum, so
+    # `amend._interleavings_tie` holds: the search draws trial 0's
+    # rotations alone and sweeps that one trial
+    drawn = _drawn_rotations(monkeypatch)
     rows = _jacobi_rows(monkeypatch)
     report = local_amendment_search(_TIE_BASES[name], n_layers, trials=1000, seed=7)
-    assert rows == [1]
+    assert (drawn, rows) == ([n_layers - 1], [1])
     assert report.best_trial == 0
 
 
@@ -571,3 +608,91 @@ def test_tie_base_report_replays(name, n_layers):
     report = local_amendment_search(base, n_layers, trials=1000, seed=7)
     composite = interleave(base, report.best_unitaries)
     assert pt_margin(composite).hex() == report.best_pt_min_eig.hex()
+
+
+def _near_isotropic_base(p, eps):
+    # p R1 diag(1, 1 + eps, 1 + eps / 3) R2 for two fixed rotations: a
+    # unital base whose singular values are |p| and at most |p| eps apart
+    return compose(
+        unitary_channel([0.48, 0.6, 0.64], 0.7),
+        compose(
+            diagonal_channel(p * np.array([1.0, 1.0 + eps, 1.0 + eps / 3.0])),
+            unitary_channel([0.0, -0.8, 0.6], 4.1),
+        ),
+    )
+
+
+_NEAR_ISOTROPIC_EPS = (0.0, 1e-15, 1e-14, 1e-13, 3e-13, 1e-12, 1e-11, 1e-10)
+
+
+@pytest.mark.parametrize("eps", _NEAR_ISOTROPIC_EPS)
+@pytest.mark.parametrize("p", [1.0, 0.6, -1.0 / 3.0, 0.0])
+def test_tie_predicate_keeps_the_tie_rule(monkeypatch, p, eps):
+    # on either side of the predicate the search is the unfiltered tie
+    # rule bit for bit, and it draws trial 0's rotations alone exactly
+    # when the predicate holds (the first draw is the unfiltered one's).
+    # Where it holds, the violations spread by at most the tie tolerance
+    base = _near_isotropic_base(p, eps)
+    drawn = _drawn_rotations(monkeypatch)
+    trials = 200
+    for n_layers in range(2, 9):
+        drawn.clear()
+        violations = _assert_matches_unfiltered(base, n_layers, (trials,), seed=n_layers)
+        tie = amend._interleavings_tie(base, n_layers)
+        assert sum(drawn[1:]) == (1 if tie else trials) * (n_layers - 1)
+        assert not tie or violations.max() - violations.min() <= AMEND_TIE_TOL
+
+
+@pytest.mark.parametrize("p", [1.0, 0.6])
+def test_tie_predicate_grid_crosses_the_threshold(p):
+    # the near-isotropic grid above holds bases on both sides of the
+    # predicate; p = 0, whose interleavings are all exactly zero, ties
+    verdicts = {
+        amend._interleavings_tie(_near_isotropic_base(p, eps), n_layers)
+        for eps in _NEAR_ISOTROPIC_EPS
+        for n_layers in range(2, 9)
+    }
+    assert verdicts == {True, False}
+    assert all(amend._interleavings_tie(_near_isotropic_base(0.0, 1e-11), n) for n in range(2, 9))
+
+
+def test_tie_predicate_refuses_non_unital_bases():
+    rng = np.random.default_rng(41)
+    bases = [random_cptp_channel(rng) for _ in range(40)]
+    bases += [random_eb_channel(rng, rank) for rank in (2, 3, 4) for _ in range(10)]
+    bases += [
+        QubitChannelAffine(n, depolarizing_channel(p).M)
+        for n in ([0.0, 0.0, 5e-324], [1e-300, 0.0, 0.0], [0.0, -1e-17, 0.0])
+        for p in (0.0, 1.0 / 3.0, 1.0)
+    ]
+    for base in bases:
+        assert base.n.any()
+        for n_layers in (2, 3, 5, 8):
+            assert not amend._interleavings_tie(base, n_layers)
+
+
+@pytest.mark.parametrize("name", sorted(_TIE_BASES))
+def test_long_tie_searches_draw_and_sweep_one_trial(monkeypatch, name):
+    # whatever `trials` is, a tie search draws trial 0's two rotations,
+    # sweeps that one row and reports the 3 x 1000 search's bytes
+    base = _TIE_BASES[name]
+    drawn = _drawn_rotations(monkeypatch)
+    rows = _jacobi_rows(monkeypatch)
+    short = amendment_report_dict(local_amendment_search(base, 3, 1000, 7))
+    for trials in (3000, 10000):
+        drawn.clear()
+        rows.clear()
+        report = amendment_report_dict(local_amendment_search(base, 3, trials, 7))
+        assert (drawn, rows) == ([2], [1])
+        assert json.dumps(report) == json.dumps({**short, "trials": trials})
+
+
+@pytest.mark.parametrize("seed", [None, 900, 901])
+def test_long_searches_sweep_one_row(monkeypatch, seed):
+    # seb-example (seed None) and two random CP bases: the LAPACK bounds
+    # decide all but one of 10000 trials
+    base = seb_example_channel() if seed is None else random_cptp_channel(np.random.default_rng(seed))
+    assert not amend._interleavings_tie(base, 3)
+    rows = _jacobi_rows(monkeypatch)
+    local_amendment_search(base, n_layers=3, trials=10000, seed=7)
+    assert rows == [1]
