@@ -39,6 +39,7 @@ from .linalg import (
     _EIG_BACKWARD_C,
     _EPS,
     STACK_BLOCK,
+    _cholesky_above,
     _lapack_lowest,
     hermitian_eigenvalues,
     partial_transpose,
@@ -87,26 +88,57 @@ def interleave(
     return result
 
 
+# fewest rotations worth drawing as a block: saving the generator's state,
+# the check for tiny triples and forming the angles cost ~5 us per call,
+# which the cheaper draws repay from about 20 rotations (2 CPUs, numpy 2.4)
+_BLOCK_DRAW_MIN = 24
+
+
 def _sample_unitaries(
     rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     # `count` rotations drawn one after another, each a uniform axis from a
     # normalized Gaussian triple and then a uniform angle; close to but not
     # exactly Haar on the induced channel, which is fine for a
-    # falsification search.  2 pi * random() is rng.uniform(0, 2 pi) bit
-    # for bit, at a third of the call cost.  A triple is redrawn while its
-    # norm is at most 1e-12, which |x| > 2e-12 rules out without the norm.
-    # The stacked matmul takes each norm with the BLAS dot of `row @ row`;
-    # x*x + y*y + z*z or einsum round differently on a fifth of the rows
+    # falsification search.  The angle is 2 pi * random(), rng.uniform(0,
+    # 2 pi) bit for bit.  A triple is redrawn while its norm is at most
+    # 1e-12, which |x| > 2e-12 rules out without the norm.  `_draw_block`
+    # makes the same draws with one generator call per value; shorter
+    # draws, and a block that holds a triple to redraw, go one rotation at
+    # a time.  The stacked matmul takes each norm with the BLAS dot of
+    # `row @ row`; x*x + y*y + z*z or einsum round differently on a fifth
+    # of the rows
     raw = np.empty((count, 3))
-    angles = np.empty(count)
-    for j, row in enumerate(raw):
-        rng.standard_normal(out=row)
-        while abs(row[0]) <= 2e-12 and math.sqrt(row @ row) <= 1e-12:
+    angles = _draw_block(rng, raw) if count >= _BLOCK_DRAW_MIN else None
+    if angles is None:
+        angles = np.empty(count)
+        for j, row in enumerate(raw):
             rng.standard_normal(out=row)
-        angles[j] = rng.random()
+            while abs(row[0]) <= 2e-12 and math.sqrt(row @ row) <= 1e-12:
+                rng.standard_normal(out=row)
+            angles[j] = rng.random()
     norms = np.sqrt(raw[:, None] @ raw[:, :, None])
     return raw / norms[:, 0], 2.0 * math.pi * angles
+
+
+def _draw_block(rng: np.random.Generator, raw: np.ndarray) -> np.ndarray | None:
+    # `_sample_unitaries`' draws in two generator calls per rotation: a
+    # Gaussian triple into each row of `raw`, then one 64-bit word, whose
+    # (word >> 11) * 2^-53 is what random() returns on PCG64, formed for the
+    # whole block.  A block holding a triple that needs a redraw (norm at
+    # most 1e-12: chance ~3e-37 per rotation) restores the generator's state
+    # and returns None, for the rotation-by-rotation loop to draw again
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    words = [0] * len(raw)
+    for j, row in enumerate(raw):
+        rng.standard_normal(out=row)
+        words[j] = bit_generator.random_raw()
+    small = raw[np.abs(raw[:, 0]) <= 2e-12]
+    if any(math.sqrt(row @ row) <= 1e-12 for row in small):
+        bit_generator.state = state
+        return None
+    return (np.array(words, dtype=np.uint64) >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -209,6 +241,33 @@ def _best_row(pool: _Pool, floor: float) -> int:
             floor = max(floor, pool.sweep(rows))
 
 
+# trials per block that LAPACK screens before the Cholesky test, those of
+# largest ||H||_F: PT-Choi matrices have trace 1, so a larger norm spreads
+# the spectrum wider, and these are the likeliest to raise `floor`
+_SEEDS = 8
+
+
+def _screen(chois: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    # `_lapack_lowest` of a block, except for the trials that cannot hold a
+    # violation at or above floor - tol: those read lowest = inf and delta
+    # = 0, so both their bounds are -inf.  The seeds' LAPACK lower bounds
+    # raise `floor`; then each other trial that `_cholesky_above` clears at
+    # bound tol - floor has a Jacobi violation below floor - tol, and so
+    # below every later floor - tol
+    if len(chois) <= _SEEDS:
+        return _lapack_lowest(chois)
+    norms = np.linalg.norm(chois, axis=(1, 2))
+    seeds = np.zeros(len(chois), dtype=bool)
+    seeds[np.argpartition(norms, -_SEEDS)[-_SEEDS:]] = True
+    lowest, delta = np.full(len(chois), np.inf), np.zeros(len(chois))
+    lowest[seeds], delta[seeds] = _lapack_lowest(chois[seeds])
+    floor = max(floor, float(np.max(-lowest - delta)))
+    rest = ~seeds & ~_cholesky_above(chois, AMEND_TIE_TOL - floor, float(norms.max()))
+    if rest.any():
+        lowest[rest], delta[rest] = _lapack_lowest(chois[rest])
+    return lowest, delta
+
+
 # a-priori rounding bounds of `_interleavings_tie`: a computed Rodrigues
 # rotation lies within _ROTATION_ERR of an exact one, and a rounded 3x3
 # product AB within _PRODUCT_ERR ||A||_2 ||B||_2 of AB, both in 2-norm
@@ -308,12 +367,16 @@ def local_amendment_search(
     draws, screens and sweeps trial 0 alone and returns it; the report
     still echoes the requested `trials`.
 
-    Every reported number comes from `hermitian_eigenvalues`.  LAPACK
-    only screens: its smallest eigenvalue and error band bound each
-    trial's violation from both sides, and Jacobi sweeps only the trials
-    whose bounds cannot decide the rule, in trial order; a tie costs one
-    sweep.  Each block of STACK_BLOCK trials is drawn and screened before
-    the next, and only the trials that could still be best are carried;
+    Every reported number comes from `hermitian_eigenvalues`; the rest
+    only screens.  Each block of STACK_BLOCK trials is drawn and screened
+    before the next.  LAPACK's smallest eigenvalue and error band bound
+    the violation of the block's _SEEDS (8) trials of largest ||H||_F
+    from both sides, which raises `floor`; `_cholesky_above` then drops
+    every other trial whose shifted Cholesky factorization proves its
+    violation below floor - AMEND_TIE_TOL, and LAPACK bounds the few left.  A block
+    of at most _SEEDS trials goes to LAPACK alone.  Jacobi sweeps only the
+    trials whose bounds cannot decide the rule, in trial order; a tie
+    costs one sweep.  Only the trials that could still be best are carried;
     more than a block of them is swept and cut to those that stay within
     AMEND_TIE_TOL in strictly rising order, so the memory is about two
     blocks whatever `trials` is.
@@ -344,7 +407,7 @@ def local_amendment_search(
             raise InvalidParameter(f"n_layers = {n_layers} is too large: {exc}") from exc
         rotations = _rotations(axes, angles).reshape(block, layers, 3, 3)
         chois = _interleaved_pt_chois(base, rotations)
-        lowest, delta = _lapack_lowest(chois)
+        lowest, delta = _screen(chois, floor)
         upper = delta - lowest
         floor = max(floor, float(np.max(-lowest - delta)))
         keep = np.flatnonzero(upper >= floor - AMEND_TIE_TOL)

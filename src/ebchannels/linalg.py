@@ -31,9 +31,12 @@ _REL_PIVOT_SKIP = 1e-18
 # matrix (2 CPUs, numpy 2.4), so the fixed part is about a fifth of a full
 # block.  The amendment search holds about two blocks of trials: 3-layer
 # searches on a unital base just outside its tie predicate (singular values
-# 1e-12 apart) peak at ~2.6 MB for 3000 and 10000 trials, ~8.6 MB at 10000
-# in blocks of 2048 (tracemalloc), and `test_search_memory_stays_within_a_block`
-# bounds the 1000-trial peak.  A tie base draws one trial: ~10 kB
+# 1e-12 apart), whose trials the Cholesky screen cannot drop, peak at
+# ~1.06 MB for 1000 trials and ~2.6 MB for 3000 and 10000, ~10.7 MB at
+# 10000 in blocks of 2048 (tracemalloc); the screen reads each block in
+# place.  `test_search_memory_stays_within_a_block` bounds the 1000-trial
+# peak.  seb-example peaks at ~0.7 MB, and a tie base, which draws one
+# trial, at ~10 kB
 STACK_BLOCK = 512
 
 # shortest stack worth the vectorized sweep: on dense 4x4 PT-Choi matrices
@@ -269,11 +272,107 @@ def _lapack_lowest(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # differ by at most (c_lapack + c_jacobi) n eps ||H||_2, and ||H||_2 <=
     # ||H||_F.  `_EIG_BACKWARD_C` = 64 stands for the sum of the two
     # constants; the largest difference measured on 4x4 PT-Choi matrices
-    # is 5.4 eps ||H||_F.  Only the search screen of `amend` reads this: no
-    # published number comes from LAPACK.
+    # is 5.4 eps ||H||_F.  Only the search screen of `amend` reads this, on
+    # each block's seed trials and the few others that `_cholesky_above`
+    # does not drop: no published number comes from LAPACK.
     lowest = np.linalg.eigvalsh(h)[:, 0]
     delta = _EIG_BACKWARD_C * h.shape[-1] * _EPS * np.linalg.norm(h, axis=(1, 2))
     return lowest, delta
+
+
+# smallest normal float: a Cholesky pivot below it fails `_cholesky_above`
+_TINY = float(np.finfo(float).tiny)
+
+
+def _cholesky_above(h: np.ndarray, bound: float, norm: float) -> np.ndarray:
+    """Which matrices of an exactly Hermitian (N, n, n) stack a floating-
+    point Cholesky factorization proves to have their smallest eigenvalue
+    above `bound`, both the exact one and the one `hermitian_eigenvalues`
+    returns.  `norm` is at least every computed ||H||_F of the stack.  A
+    matrix whose factorization fails, at any pivot, is False; nothing
+    raises.  The stack is read, never copied or written.
+
+    The test factors A = fl(H - s I), s = fl(bound + margin), by the
+    textbook algorithm (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Alg. 10.2, in complex form): for j = 0 .. n-1,
+    d_j = a_jj - sum_{k<j} |r_kj|^2, r_jj = sqrt(d_j) and, for i > j, r_ji =
+    (a_ji - sum_{k<j} conj(r_kj) r_ki) / r_jj, each sum subtracted in the
+    order of k.  It passes when every pivot d_j is a normal float.
+
+    Proof, with u = eps / 2 and gamma_k = k u / (1 - k u).  Outside the
+    underflow range every operation is exact up to a factor 1 + x with
+    complex |x| <= 3u: a complex difference rounds each part by u; a
+    quotient by a real pivot, rounded once or through its reciprocal, is
+    within gamma_2; a complex product within sqrt(2) gamma_2 (Higham,
+    Lemma 3.5), fused or not; re^2 + im^2 within gamma_2; a square root
+    within u.  Unrolled as in Higham's Lemma 8.4, each equation a_ji =
+    sum_{k<=j} conj(r_kj) r_ki then holds for the computed factor with each
+    term moved by a product of at most n + 1 such factors (j + 1 for the
+    term of r_jj r_ji, k + 1 for term k, j + 2 on the diagonal, whose root
+    enters squared), so if every pivot is positive (Higham, Theorem 10.3)
+
+        R^H R = A + dA,  |dA| <= gamma |R^H| |R|,  gamma = gamma_{3(n+1)}.
+
+    Then ||dA||_2 <= gamma ||R||_F^2, and ||R||_F^2 = tr(A + dA) <= tr A +
+    gamma ||R||_F^2, so ||dA||_2 <= g tr A with g = gamma / (1 - gamma).
+    R^H R is positive definite, R being triangular with a positive
+    diagonal, so lambda_min(A) > -g tr A: the certificate of Rump (BIT 46,
+    433 (2006)).  With gradual underflow a real product or quotient is
+    also off by up to eta = 2^-1075 in absolute terms; sums and differences
+    of floats stay exact there, and a square root of a positive float is
+    normal.  That adds at most 2 (3n + 2 r_jj) eta to an entry of dA, and
+    at most n^2 2^-1072 (2 + tr A) to ||dA||_2, as r_jj <= 1 + tr A.
+    Requiring normal pivots keeps every 1 / r_jj below 2^512.  For finite
+    input an overflow carries an infinity or NaN into a later pivot, since
+    every entry of R enters the pivot of its column squared, and fails it:
+    a completed factorization had none.
+
+    Margin.  With F = norm (1 + 2^-30), which covers the computed norm's
+    rounding, S = 2 |bound| + F + 2^-1000 bounds |s| and T = (1 + u)
+    (sqrt(n) F + n S) bounds tr A, since sum |h_ii| <= sqrt(n) ||H||_F.
+    Three steps separate `bound` from what the factorization proves:
+    - fl(H - s I) rounds each diagonal entry by at most u (F + S), and s
+      lies within u S of bound + margin;
+    - lambda_min(A) > -(g T + n^2 2^-1072 (2 + T)), the certificate above;
+    - Jacobi's eigenvalue is within `_EIG_BACKWARD_C` n eps ||H||_F of the
+      exact one, the band of `_lapack_lowest`.
+    The margin is their sum times 1 + 2^-30, which covers its own rounding,
+    so both smallest eigenvalues exceed bound + margin - (the sum) >= bound
+    when every pivot passes.  On trace-1 PT-Choi matrices (||H||_F <= 1)
+    the margin is under 7e-14 + 1.4e-14 |bound|, Jacobi's band nearly all
+    of it.
+    """
+    n = h.shape[-1]
+    u = _EPS / 2.0
+    gamma = 3 * (n + 1) * u / (1.0 - 3 * (n + 1) * u)
+    g = gamma / (1.0 - gamma)
+    f = norm * (1.0 + 2.0**-30)
+    s = 2.0 * abs(bound) + f + 2.0**-1000
+    t = (1.0 + u) * (math.sqrt(n) * f + n * s)
+    margin = (
+        u * (f + 2.0 * s)
+        + g * t
+        + n * n * 2.0**-1072 * (2.0 + t)
+        + _EIG_BACKWARD_C * n * _EPS * f
+    ) * (1.0 + 2.0**-30)
+    shift = bound + margin
+    passed = np.ones(len(h), dtype=bool)
+    rows = {}  # (j, i) -> r_ji over the stack, for i > j
+    with np.errstate(all="ignore"):  # a failed pivot may leave NaN behind
+        for j in range(n):
+            d = h[:, j, j].real - shift
+            for k in range(j):
+                r = rows[k, j]
+                d = d - (r.real * r.real + r.imag * r.imag)
+            passed &= d >= _TINY
+            root = np.sqrt(d)
+            conj = [rows[k, j].conj() for k in range(j)]
+            for i in range(j + 1, n):
+                a = h[:, j, i]
+                for k in range(j):
+                    a = a - conj[k] * rows[k, i]
+                rows[j, i] = a / root
+    return passed
 
 
 def svd3(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

@@ -28,6 +28,7 @@ from ebchannels import (
     seb_example_channel,
     unitary_channel,
 )
+from ebchannels import cli
 from ebchannels.amend import REFERENCE_AMENDED_STATE
 from ebchannels.channel import _choi, _rotations
 from ebchannels.cli import amendment_report_dict
@@ -40,6 +41,7 @@ from ebchannels.linalg import (
     svd3,
 )
 from ebchannels.tolerances import AMEND_TIE_TOL, EB_BOUNDARY_TOL
+from golden import regen
 from helpers import (
     random_cptp_channel,
     random_eb_channel,
@@ -296,10 +298,26 @@ def test_sampler_equals_the_draw_by_draw_reference():
 
 class _ScriptedGenerator:
     # hands out fixed Gaussian triples and uniforms in call order, and logs
-    # which kind of draw each call was
+    # which kind of draw each call was.  It is its own bit generator: a raw
+    # word carries the uniform's 53 bits above 11 zero bits, so (word >> 11)
+    # * 2^-53 is the uniform, as on PCG64; its state snapshots the queues,
+    # and restoring it replays the same draws
     def __init__(self, triples, uniforms):
         self.triples, self.uniforms = list(triples), list(uniforms)
         self.calls = []
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return list(self.triples), list(self.uniforms)
+
+    @state.setter
+    def state(self, saved):
+        self.calls.append("restore")
+        self.triples, self.uniforms = map(list, saved)
 
     def standard_normal(self, size=None, out=None):
         self.calls.append("normal")
@@ -314,8 +332,31 @@ class _ScriptedGenerator:
         self.calls.append("random")
         return self.uniforms.pop(0)
 
+    def random_raw(self):
+        self.calls.append("raw")
+        return int(self.uniforms.pop(0) * 2**53) << 11
 
-def test_sampler_redraws_tiny_triples_in_the_reference_order():
+
+def _assert_scripted_draws(triples, reference_calls, redrawn):
+    # the sampler draws the whole block with one Gaussian and one raw word
+    # per rotation (three rotations count as a block here).  A block holding
+    # a tiny triple is restored to its saved state and drawn again in the
+    # reference order, one rotation at a time
+    uniforms = [0.25, 0.5, 0.75]
+    sampler = _ScriptedGenerator(triples, uniforms)
+    reference = _ScriptedGenerator(triples, uniforms)
+    axes, angles = amend._sample_unitaries(sampler, 3)
+    want_axes, want_angles = _reference_draws(reference, 3)
+    assert axes.tobytes() == want_axes.tobytes()
+    assert angles.tobytes() == want_angles.tobytes()
+    assert reference.calls == reference_calls
+    block = ["normal", "raw"] * 3
+    assert sampler.calls == (block + ["restore"] + reference.calls if redrawn else block)
+    return axes
+
+
+def test_sampler_redraws_tiny_triples_in_the_reference_order(monkeypatch):
+    monkeypatch.setattr(amend, "_BLOCK_DRAW_MIN", 3)
     triples = [
         (1e-13, 0.0, 0.0),  # norm below 1e-12: redrawn
         (0.3, -1.2, 0.5),
@@ -324,19 +365,24 @@ def test_sampler_redraws_tiny_triples_in_the_reference_order():
         (0.0, 0.0, 0.0),  # redrawn
         (0.0, 0.0, 3.0),
     ]
-    uniforms = [0.25, 0.5, 0.75]
-    sampler = _ScriptedGenerator(triples, uniforms)
-    reference = _ScriptedGenerator(triples, uniforms)
-    axes, angles = amend._sample_unitaries(sampler, 3)
-    want_axes, want_angles = _reference_draws(reference, 3)
-    assert axes.tobytes() == want_axes.tobytes()
-    assert angles.tobytes() == want_angles.tobytes()
-    assert sampler.calls == reference.calls
-    assert sampler.calls == (
+    reference_calls = (
         ["normal", "normal", "random"]
         + ["normal", "random"]
         + ["normal", "normal", "normal", "random"]
     )
+    axes = _assert_scripted_draws(triples, reference_calls, redrawn=True)
+    assert np.array_equal(axes[1], [5e-13, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("redrawn", [True, False])
+def test_sampler_redraws_a_block_from_its_saved_state(monkeypatch, redrawn):
+    # a tiny triple in the middle of the block sends the whole block back
+    # to the saved state; without one the first draws stand
+    monkeypatch.setattr(amend, "_BLOCK_DRAW_MIN", 3)
+    middle = [(-1e-13, 1e-14, 0.0)] if redrawn else []
+    triples = [(0.0, 0.0, 3.0), *middle, (1e-12, 2.0, 0.0), (0.3, -1.2, 0.5)]
+    reference_calls = ["normal", "random"] + ["normal"] * len(middle) + ["normal", "random"] * 2
+    axes = _assert_scripted_draws(triples, reference_calls, redrawn)
     assert np.array_equal(axes[1], [5e-13, 1.0, 0.0])
 
 
@@ -574,6 +620,46 @@ def _drawn_rotations(monkeypatch):
     return counts
 
 
+def _screened_matrices(monkeypatch):
+    # how many matrices each LAPACK screen and each Cholesky test receives
+    lapack, cholesky = [], []
+    lowest, above = amend._lapack_lowest, amend._cholesky_above
+
+    def counting_lowest(h):
+        lapack.append(len(h))
+        return lowest(h)
+
+    def counting_above(h, bound, norm):
+        cholesky.append(len(h))
+        return above(h, bound, norm)
+
+    monkeypatch.setattr(amend, "_lapack_lowest", counting_lowest)
+    monkeypatch.setattr(amend, "_cholesky_above", counting_above)
+    return lapack, cholesky
+
+
+def test_pool_searches_send_few_trials_to_lapack(monkeypatch, tmp_path, capsys):
+    # the non-tie ops of the seed-101 amend-search pool: the Cholesky test
+    # sees both blocks whole, and LAPACK each block's 8 seeds plus the few
+    # trials the test cannot drop
+    argvs = regen.ops(regen.SEED, tmp_path)
+    searches = [
+        argv
+        for key, argv in argvs.items()
+        if key.startswith("amend-search/") and "depolarizing" not in key
+    ]
+    assert len(searches) == 8
+    lapack, cholesky = _screened_matrices(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    for argv in searches:
+        lapack.clear()
+        cholesky.clear()
+        assert cli.main(argv) == 0
+        assert cholesky == [STACK_BLOCK, 1000 - STACK_BLOCK]
+        assert sum(lapack) <= 64
+    capsys.readouterr()
+
+
 def test_readme_search_sweeps_few_trials(monkeypatch):
     rows = _jacobi_rows(monkeypatch)
     report = local_amendment_search(seb_example_channel(), n_layers=3, trials=1000, seed=7)
@@ -596,8 +682,9 @@ def test_tie_base_search_sweeps_one_trial(monkeypatch, name, n_layers):
     # rotations alone and sweeps that one trial
     drawn = _drawn_rotations(monkeypatch)
     rows = _jacobi_rows(monkeypatch)
+    lapack, cholesky = _screened_matrices(monkeypatch)
     report = local_amendment_search(_TIE_BASES[name], n_layers, trials=1000, seed=7)
-    assert (drawn, rows) == ([n_layers - 1], [1])
+    assert (drawn, rows, lapack, cholesky) == ([n_layers - 1], [1], [1], [])
     assert report.best_trial == 0
 
 

@@ -19,6 +19,7 @@ from ebchannels import (
 )
 from ebchannels.errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 from ebchannels.linalg import (
+    _cholesky_above,
     _lapack_lowest,
     hermitian_eigenvalues,
     kron,
@@ -501,6 +502,71 @@ def test_lapack_band_scales_with_the_norm(scale):
 @given(st.lists(_near_singular_pt_choi, min_size=1, max_size=3))
 def test_lapack_band_holds_near_singular(matrices):
     _assert_within_band(np.stack(matrices))
+
+
+# spectra of the Cholesky certificate's test stacks: singular, rank-1,
+# tied, with a tied lowest pair, PT-Choi-like and widely spread
+_KNOWN_SPECTRA = {
+    "singular": [0.0, 0.1, 0.3, 0.6],
+    "rank-1": [0.0, 0.0, 0.0, 1.0],
+    "tied": [0.25, 0.25, 0.25, 0.25],
+    "tied-lowest": [-0.1, -0.1, 0.5, 0.7],
+    "pt-choi-like": [-0.2, 0.3, 0.4, 0.5],
+    "wide": [-1e-3, 1e-8, 2.0, 3.0],
+}
+
+
+def _known_spectrum_stack(spectrum, rotated, scale, seed, count=300):
+    # U diag(scale * spectrum) U^H for Haar-like unitaries U, made exactly
+    # Hermitian, or the diagonal matrices with the spectrum permuted; and
+    # the smallest eigenvalue, exact up to the rotation's rounding
+    rng = np.random.default_rng(seed)
+    d = scale * np.array(spectrum)
+    if rotated:
+        z = rng.standard_normal((count, 4, 4)) + 1j * rng.standard_normal((count, 4, 4))
+        u = np.linalg.qr(z)[0]
+        h = (u * d[None, None, :]) @ u.conj().swapaxes(1, 2)
+        h = (h + h.conj().swapaxes(1, 2)) / 2.0
+    else:
+        h = np.stack([np.diag(rng.permutation(d)) for _ in range(count)]).astype(complex)
+    return h, float(d.min())
+
+
+@pytest.mark.parametrize("rotated", [True, False])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("name", sorted(_KNOWN_SPECTRA))
+def test_cholesky_certificate_never_clears_at_or_above_the_lowest_eigenvalue(
+    name, scale, rotated
+):
+    # at every bound from the smallest eigenvalue up, the shifted matrix
+    # has an eigenvalue at or below -margin, which no rounding the margin
+    # covers can hide; 1e-9 below it, every factorization completes
+    h, lowest = _known_spectrum_stack(_KNOWN_SPECTRA[name], rotated, scale, seed=len(name))
+    norm = float(np.linalg.norm(h, axis=(1, 2)).max())
+    before = h.copy()
+    for offset in (0.0, 1e-16, 1e-14, 1e-12, 1e-9, 1.0):
+        assert not _cholesky_above(h, lowest + scale * offset, norm).any()
+    assert _cholesky_above(h, lowest - 1e-9, norm).all()
+    assert np.array_equal(h, before)
+
+
+def test_cholesky_certificate_fails_each_pivot_without_raising():
+    # the identity passes at bound -0.5; each other matrix fails at pivot
+    # j: a negative first entry, or a 2 x 2 leading block whose Schur
+    # complement is negative.  Non-finite entries fail every pivot
+    stack = [np.eye(4, dtype=complex) for _ in range(5)]
+    stack[1][0, 0] = -1.0
+    for j in (1, 2, 3):
+        stack[j + 1][j - 1, j] = 2j
+        stack[j + 1][j, j - 1] = -2j
+    passed = _cholesky_above(np.stack(stack), -0.5, 3.0)
+    assert passed.tolist() == [True, False, False, False, False]
+    broken = np.stack(stack)
+    broken[0, 2, 2] = np.nan
+    assert not _cholesky_above(broken, -0.5, 3.0).any()
+    for bad in (np.nan, np.inf):  # the norm of the stack
+        broken[0, 2, 2] = bad
+        assert not _cholesky_above(broken, -0.5, bad).any()
 
 
 def test_svd3_identity():
